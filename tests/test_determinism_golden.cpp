@@ -19,12 +19,16 @@
 // (set GOLDEN_PRINT=1 to dump it) before committing the digest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/arch_config.hpp"
 #include "model/config.hpp"
@@ -388,6 +392,36 @@ std::string canonical_cache_sweep() {
   return out;
 }
 
+/// A 2-prefill + 1-decode fleet under per-tier hybrid autoscaling with
+/// bursty traffic: KV migrations cross live-mask changes.
+FleetConfig disagg_autoscale_config() {
+  ServingConfig base = golden_base();
+  base.traffic.process = ArrivalProcess::kBursty;
+  base.traffic.num_requests = 48;
+  base.traffic.arrival_rate_per_s = 400.0;
+  base.traffic.burst_factor = 4.0;
+  base.traffic.burst_fraction = 0.25;
+  base.traffic.burst_period_s = 0.05;
+  base.scheduler.max_in_flight = 6;
+  FleetConfig cfg = FleetConfig::homogeneous(
+      base, 3, BalancerPolicy::kJoinShortestQueue);
+  cfg.kv_link.bytes_per_cycle = 16.0;
+  cfg.roles = {ReplicaRole::kPrefill, ReplicaRole::kPrefill,
+               ReplicaRole::kDecode};
+  cfg.autoscale.enabled = true;
+  cfg.autoscale.policy = ScalePolicy::kHybrid;
+  cfg.autoscale.tier_min = {1, 1};
+  cfg.autoscale.tier_max = {2, 1};
+  cfg.autoscale.eval_interval_ms = 2.0;
+  cfg.autoscale.ttft_window_ms = 10.0;
+  cfg.autoscale.queue_high = 1.5;
+  cfg.autoscale.queue_low = 0.25;
+  cfg.autoscale.up_evals = 1;
+  cfg.autoscale.down_evals = 2;
+  cfg.autoscale.cooldown_evals = 1;
+  return cfg;
+}
+
 /// The canonical *disaggregated* sweep: prefill/decode role splits with
 /// KV migration (and, on the jsq point, work stealing) over the ring
 /// fabric, plus a per-tier autoscaled point. Pins the migration
@@ -435,34 +469,50 @@ std::string canonical_disagg_sweep() {
     // clock, tier-tagged scale events, and KV migrations crossing
     // live-mask changes — the autoscaler's decision sequence is part of
     // the pinned bytes.
-    ServingConfig base = golden_base();
-    base.traffic.process = ArrivalProcess::kBursty;
-    base.traffic.num_requests = 48;
-    base.traffic.arrival_rate_per_s = 400.0;
-    base.traffic.burst_factor = 4.0;
-    base.traffic.burst_fraction = 0.25;
-    base.traffic.burst_period_s = 0.05;
-    base.scheduler.max_in_flight = 6;
-    FleetConfig cfg = FleetConfig::homogeneous(
-        base, 3, BalancerPolicy::kJoinShortestQueue);
-    cfg.kv_link.bytes_per_cycle = 16.0;
-    cfg.roles = {ReplicaRole::kPrefill, ReplicaRole::kPrefill,
-                 ReplicaRole::kDecode};
-    cfg.autoscale.enabled = true;
-    cfg.autoscale.policy = ScalePolicy::kHybrid;
-    cfg.autoscale.tier_min = {1, 1};
-    cfg.autoscale.tier_max = {2, 1};
-    cfg.autoscale.eval_interval_ms = 2.0;
-    cfg.autoscale.ttft_window_ms = 10.0;
-    cfg.autoscale.queue_high = 1.5;
-    cfg.autoscale.queue_low = 0.25;
-    cfg.autoscale.up_evals = 1;
-    cfg.autoscale.down_evals = 2;
-    cfg.autoscale.cooldown_evals = 1;
     serialize_disagg(out, "disagg-autoscale-2p1d-hybrid",
-                     FleetSim(cfg).run());
+                     FleetSim(disagg_autoscale_config()).run());
   }
   return out;
+}
+
+/// The observed-export single point: paged recompute preemption under
+/// chunked prefill, so preempt/recompute lifecycle events fire.
+ServingConfig observed_single_config() {
+  ServingConfig cfg = golden_base();
+  cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
+  cfg.scheduler.max_tokens_per_iter = 16;
+  cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
+  cfg.kv_block_tokens = 4;
+  cfg.kv_budget_bytes_per_node = token_budget(cfg, 288);
+  cfg.traffic.arrival_rate_per_s = 1200.0;
+  return cfg;
+}
+
+/// The observed-export fleet point: a queue-policy autoscaled 3-replica
+/// fleet under bursty traffic, so scale/drain instants fire.
+FleetConfig observed_fleet_config() {
+  ServingConfig base = golden_base();
+  base.traffic.process = ArrivalProcess::kBursty;
+  base.traffic.num_requests = 48;
+  base.traffic.arrival_rate_per_s = 400.0;
+  base.traffic.burst_factor = 4.0;
+  base.traffic.burst_fraction = 0.25;
+  base.traffic.burst_period_s = 0.05;
+  base.scheduler.max_in_flight = 6;
+  FleetConfig cfg = FleetConfig::homogeneous(
+      base, 3, BalancerPolicy::kJoinShortestQueue);
+  cfg.autoscale.enabled = true;
+  cfg.autoscale.policy = ScalePolicy::kQueueDepth;
+  cfg.autoscale.min_replicas = 1;
+  cfg.autoscale.max_replicas = 3;
+  cfg.autoscale.eval_interval_ms = 2.0;
+  cfg.autoscale.ttft_window_ms = 10.0;
+  cfg.autoscale.queue_high = 1.5;
+  cfg.autoscale.queue_low = 0.25;
+  cfg.autoscale.up_evals = 1;
+  cfg.autoscale.down_evals = 2;
+  cfg.autoscale.cooldown_evals = 1;
+  return cfg;
 }
 
 /// The canonical *observed* export: two sweep points re-run with an
@@ -482,40 +532,14 @@ std::string canonical_observed_export() {
     out += "==== " + tag + " prometheus\n" + prom.str();
   };
   {
-    ServingConfig cfg = golden_base();
-    cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
-    cfg.scheduler.max_tokens_per_iter = 16;
-    cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
-    cfg.kv_block_tokens = 4;
-    cfg.kv_budget_bytes_per_node = token_budget(cfg, 288);
-    cfg.traffic.arrival_rate_per_s = 1200.0;
+    const ServingConfig cfg = observed_single_config();
     Observer obs(1, cfg.arch.frequency_hz);
     ServingSim(cfg).run(&obs);
     export_both(obs, "single-paged-recompute");
   }
   {
-    ServingConfig base = golden_base();
-    base.traffic.process = ArrivalProcess::kBursty;
-    base.traffic.num_requests = 48;
-    base.traffic.arrival_rate_per_s = 400.0;
-    base.traffic.burst_factor = 4.0;
-    base.traffic.burst_fraction = 0.25;
-    base.traffic.burst_period_s = 0.05;
-    base.scheduler.max_in_flight = 6;
-    FleetConfig cfg = FleetConfig::homogeneous(
-        base, 3, BalancerPolicy::kJoinShortestQueue);
-    cfg.autoscale.enabled = true;
-    cfg.autoscale.policy = ScalePolicy::kQueueDepth;
-    cfg.autoscale.min_replicas = 1;
-    cfg.autoscale.max_replicas = 3;
-    cfg.autoscale.eval_interval_ms = 2.0;
-    cfg.autoscale.ttft_window_ms = 10.0;
-    cfg.autoscale.queue_high = 1.5;
-    cfg.autoscale.queue_low = 0.25;
-    cfg.autoscale.up_evals = 1;
-    cfg.autoscale.down_evals = 2;
-    cfg.autoscale.cooldown_evals = 1;
-    Observer obs(3, base.arch.frequency_hz);
+    const FleetConfig cfg = observed_fleet_config();
+    Observer obs(3, cfg.replicas.front().arch.frequency_hz);
     FleetSim(cfg).run(&obs);
     export_both(obs, "fleet-autoscale-queue");
   }
@@ -601,6 +625,93 @@ TEST(DeterminismGolden, CanonicalSweepIsReproducibleInProcess) {
             util::sha256_hex(canonical_cache_sweep()));
   EXPECT_EQ(util::sha256_hex(canonical_disagg_sweep()),
             util::sha256_hex(canonical_disagg_sweep()));
+}
+
+// ---- Lifecycle pins ----
+//
+// Literal expectations for the serve paths no digest above covers:
+// closed-loop traffic (clients re-submit on completion, so the order in
+// which completions wake them feeds back into arrivals) and the observed
+// event stream as a multiset. The multiset digest sorts the events on
+// every field first, so it pins WHICH lifecycle events happen at which
+// cycles with which payloads, independent of the order they were
+// recorded in.
+
+/// Order-independent SHA-256 of an observed run's lifecycle events.
+std::string event_multiset_sha256(const Observer& obs) {
+  std::vector<ObservedEvent> events = obs.events();
+  const auto key = [](const ObservedEvent& e) {
+    return std::make_tuple(e.at, static_cast<int>(e.kind), e.request,
+                           e.replica, e.a, e.b);
+  };
+  std::sort(events.begin(), events.end(),
+            [&key](const ObservedEvent& x, const ObservedEvent& y) {
+              return key(x) < key(y);
+            });
+  std::string text;
+  for (const ObservedEvent& e : events) {
+    text += std::to_string(e.at) + " " + lifecycle_event_name(e.kind) + " " +
+            std::to_string(e.request) + " " + std::to_string(e.replica) +
+            " " + std::to_string(e.a) + " " + std::to_string(e.b) + "\n";
+  }
+  return util::sha256_hex(text);
+}
+
+std::uint64_t makespan_cycles(const FleetMetrics& m, double frequency_hz) {
+  return static_cast<std::uint64_t>(std::llround(m.duration_s * frequency_hz));
+}
+
+TEST(LifecyclePins, ClosedLoopServingSim) {
+  ServingConfig cfg = observed_single_config();
+  cfg.traffic.process = ArrivalProcess::kClosedLoop;
+  cfg.traffic.clients = 6;
+  cfg.traffic.think_time_s = 0.001;
+  const FleetMetrics m = ServingSim(cfg).run();
+  EXPECT_EQ(m.completed, 32u);
+  EXPECT_EQ(m.iterations, 426u);
+  EXPECT_EQ(makespan_cycles(m, cfg.arch.frequency_hz), 45835800u);
+  EXPECT_EQ(hex(m.ttft_ms.p99), "4048ea774790346e");
+}
+
+TEST(LifecyclePins, ClosedLoopJsqFleet) {
+  ServingConfig base = golden_base();
+  base.scheduler.policy = BatchPolicy::kDecodePriority;
+  base.traffic.process = ArrivalProcess::kClosedLoop;
+  base.traffic.num_requests = 48;
+  base.traffic.clients = 8;
+  base.traffic.think_time_s = 0.002;
+  const FleetResult r = FleetSim(FleetConfig::homogeneous(
+                                     base, 3,
+                                     BalancerPolicy::kJoinShortestQueue))
+                            .run();
+  EXPECT_EQ(r.fleet.completed, 48u);
+  EXPECT_EQ(r.fleet.iterations, 685u);
+  EXPECT_EQ(makespan_cycles(r.fleet, base.arch.frequency_hz), 19688339u);
+  EXPECT_EQ(hex(r.fleet.ttft_ms.p99), "403acf3fa5663c17");
+}
+
+TEST(LifecyclePins, ObservedEventMultisets) {
+  {
+    const ServingConfig cfg = observed_single_config();
+    Observer obs(1, cfg.arch.frequency_hz);
+    ServingSim(cfg).run(&obs);
+    EXPECT_EQ(event_multiset_sha256(obs),
+              "d40317a58d711bd4f60e399c89eae9bfee6f1db21aba00fc957675a6eddcbcc2");
+  }
+  {
+    const FleetConfig cfg = observed_fleet_config();
+    Observer obs(3, cfg.replicas.front().arch.frequency_hz);
+    FleetSim(cfg).run(&obs);
+    EXPECT_EQ(event_multiset_sha256(obs),
+              "8467aa98d73cde99a3c399a3733def92f555c6d8dba422ca3f05d105a5e1e699");
+  }
+  {
+    const FleetConfig cfg = disagg_autoscale_config();
+    Observer obs(3, cfg.replicas.front().arch.frequency_hz);
+    FleetSim(cfg).run(&obs);
+    EXPECT_EQ(event_multiset_sha256(obs),
+              "0a41177b84b5db2e51e2f2e097c4816572b5599b4fb0c723a3275e63415963a2");
+  }
 }
 
 /// Known-answer test for the hasher itself (FIPS 180-4 vectors), so a
