@@ -383,8 +383,8 @@ struct FleetRun {
         traffic(cfg_.traffic, cfg_.replicas.front().arch.frequency_hz),
         balancer(cfg_.balancer) {
     shared.target = cfg_.traffic.num_requests;
-    // The window hook stays null on static runs: request_proc then never
-    // touches it and the event sequence is byte-identical to PR 4.
+    // The window hook stays null on static runs: the scheduler then never
+    // pushes a TTFT sample, and no autoscaler exists to read one.
     if (cfg_.autoscale.enabled) shared.ttft_window = &ttft_window;
     replicas.reserve(cfg_.replicas.size());
     for (std::size_t i = 0; i < cfg_.replicas.size(); ++i) {
@@ -670,10 +670,6 @@ FleetResult FleetSim::run(Observer* observer) const {
   }
   FleetRun run(config_, costs_);
   run.shared.observer = observer;
-  run.shared.scheduler_drives =
-      observer == nullptr && !config_.autoscale.enabled &&
-      !config_.disaggregated() &&
-      config_.traffic.process != ArrivalProcess::kClosedLoop;
   const auto route = [&run]() -> detail::Replica& { return run.route(); };
   // Control plane first: at a shared instant the scale decision lands
   // before that cycle's routing (either order is deterministic; this one

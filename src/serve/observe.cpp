@@ -1,5 +1,6 @@
 #include "serve/observe.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -145,6 +146,14 @@ void Observer::finalize(sim::Cycles makespan) {
           " (the breakdown must partition the timeline exactly)");
     }
   }
+  // Step records are stamped at computed step-end cycles when the
+  // scheduler books the iteration, ahead of the engine clock; a stable
+  // sort on the cycle puts the log in time order, ties keeping the order
+  // they were recorded in.
+  std::stable_sort(events_.begin(), events_.end(),
+                   [](const ObservedEvent& x, const ObservedEvent& y) {
+                     return x.at < y.at;
+                   });
   makespan_ = makespan;
   finalized_ = true;
 }

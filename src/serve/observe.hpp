@@ -42,7 +42,7 @@ namespace looplynx::serve {
 /// kNoRequest and the affected replica index.
 enum class LifecycleEvent : std::uint8_t {
   kRoute,          // balancer picked a replica (a = live replicas)
-  kArrive,         // request_proc started (a = prefill, b = decode shape)
+  kArrive,         // enqueue callback fired (a = prefill, b = decode shape)
   kAdmit,          // popped from the queue, KV reserved (a = active after)
   kReject,         // shed (a = 0 queue-full, 1 oversized-for-KV-budget)
   kFirstChunk,     // first prefill chunk executed (a = tokens, b = cursor)
@@ -142,14 +142,17 @@ class Observer {
                     std::uint64_t peak_used_blocks,
                     std::uint32_t block_tokens);
 
-  /// Closes open waits and post-exit tails as drain, then asserts the
-  /// tiling identity: per replica, the category totals sum to `makespan`
-  /// exactly. Throws std::logic_error on violation or double finalize.
+  /// Closes open waits and post-exit tails as drain, asserts the tiling
+  /// identity (per replica, the category totals sum to `makespan`
+  /// exactly) and stable-sorts the event log by cycle. Throws
+  /// std::logic_error on violation or double finalize.
   void finalize(sim::Cycles makespan);
   bool finalized() const { return finalized_; }
   sim::Cycles makespan() const { return makespan_; }
 
   // ---- Inspection (tests and the host-layer breakdown exposure) ----
+  /// The lifecycle log; time-ordered once finalize() has run (step
+  /// records are stamped ahead of the clock, see finalize()).
   const std::vector<ObservedEvent>& events() const { return events_; }
   const sim::Trace& replica_trace(std::uint32_t replica) const;
   /// Category → cycles for one replica (missing categories are 0 cycles

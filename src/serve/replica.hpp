@@ -47,7 +47,10 @@ namespace looplynx::serve::detail {
 /// allocated from here so they are unique across the fleet and strictly
 /// increasing in injection order — the property the age-ordered preemption
 /// policy (oldest == lowest id) and the Host submit/flush record mapping
-/// both rely on. A single-replica run owns a private instance.
+/// both rely on. A single-replica run owns a private instance. The optional
+/// hooks below (TTFT window, observer) are bookkeeping only: every run
+/// steps its requests through the same scheduler-driven path, whichever
+/// of them are attached.
 struct FleetShared {
   std::uint32_t target = 0;     // traffic.num_requests, the injection budget
   std::uint32_t injected = 0;   // requests created fleet-wide so far
@@ -72,20 +75,6 @@ struct FleetShared {
   /// metrics. Null (the default) means zero observability overhead and
   /// byte-identical output to an unobserved build.
   Observer* observer = nullptr;
-  /// When set (the bench-critical open-loop unobserved configuration), the
-  /// scheduler advances every batch member itself — one engine event per
-  /// iteration instead of three per member-step (grant wake + two delays).
-  /// Each request's root process exits right after enqueueing, and the
-  /// scheduler performs the per-step bookkeeping inline with computed
-  /// timestamps. Byte-identical to the member-driven path: all bookkeeping
-  /// runs in the same order (batch order == pipeline-slot time order) with
-  /// the same timestamps, and the prefix cache orders its LRU by insertion
-  /// tick, not wall time. Harnesses must leave this false when an observer
-  /// is attached (records interleave with other events at intermediate
-  /// times), when the autoscaler's TTFT window is live (samples are pushed
-  /// at emission instants), or under closed-loop traffic (clients re-submit
-  /// on the done signal, so completion-wake order feeds back into arrivals).
-  bool scheduler_drives = false;
 
   bool arrivals_done() const { return injected >= target; }
 };
@@ -185,7 +174,8 @@ struct Replica {
   }
 
   /// Flat request arena: requests live in recycled slots with stable
-  /// addresses (coroutines hold Request& across suspension) and zero
+  /// addresses (ready lists, batch vectors and the migrate/steal/client
+  /// processes hold Request pointers across suspension) and zero
   /// steady-state allocation. Whoever retires a request erases its slot —
   /// see the release protocol notes in replica.cpp.
   util::SlotMap<Request> pool;
@@ -296,28 +286,30 @@ struct Replica {
   double ms(sim::Cycles c) const { return cfg.arch.cycles_to_ms(c); }
 
   /// Creates a request routed to this replica in a recycled arena slot.
-  /// The id comes from the fleet-wide counter; the caller spawns
-  /// request_proc for it.
+  /// The id comes from the fleet-wide counter; the caller schedules
+  /// enqueue_request_event for it.
   Request& make_request(workload::Scenario shape);
 
   void record_completion(Request& r);
+
+  /// Sheds `r` (reason 0: queue full at arrival, 1: larger than the whole
+  /// KV budget, found when popped for admission): records, retires,
+  /// signals `done` and releases its arena slot.
+  void reject(Request& r, std::uint32_t reason);
 
   /// Appends the retirement snapshot for `r` (state and timestamps must be
   /// final). Does not touch the arena — slot release is the caller's move.
   void retire(const Request& r);
 };
 
-/// Root process of one request on its replica. Parks on its grant signal;
-/// every grant is one scheduler iteration turn, executed at the request's
-/// pipeline slot within the iteration, with the iteration's CountdownLatch
-/// as batch barrier.
-sim::Task request_proc(Replica& f, Request& r);
-
-/// The replica's continuous-batching loop: admit, select a batch, let the
-/// members stream through the pipeline back to back, pay host sync once,
-/// repeat. Exits when the fleet-wide arrival stream is exhausted and this
-/// replica has drained. Livelock-freedom under kRecomputeYoungest holds
-/// per replica (eviction never crosses replicas — each owns its KV pool).
+/// The replica's continuous-batching loop: admit, select a batch, step
+/// every member through the time-shared pipeline back to back, pay host
+/// sync once, emit the tokens, repeat. The scheduler advances each member
+/// itself — requests have no process of their own — so an iteration costs
+/// two engine events (pipeline end, egress) whatever the batch size.
+/// Exits when the fleet-wide arrival stream is exhausted and this replica
+/// has drained. Livelock-freedom under kRecomputeYoungest holds per
+/// replica (eviction never crosses replicas — each owns its KV pool).
 sim::Task scheduler_proc(Replica& f);
 
 /// KV migration transfer (disaggregated fleets): ships `blocks` Datapacks
@@ -335,11 +327,11 @@ sim::Task migrate_proc(Replica& src, Replica& dst, Request& r,
 /// kv-migrate ledger — the wire time on the shared fabric is the price.
 sim::Task steal_proc(Replica& thief, Replica& victim, Request& r);
 
-/// Engine callback (`Engine::schedule_call`) that performs the fast
-/// path's entire root-process body — stamp arrival, enqueue (or reject
-/// when the queue is full), signal work — without a coroutine frame.
-/// `replica`/`request` are the type-erased Replica* / Request*. Only
-/// valid when FleetShared::scheduler_drives is set.
+/// Engine callback (`Engine::schedule_call`) that lands one arrival:
+/// stamp the arrival time, enqueue (or reject when the queue is full),
+/// signal work. `replica`/`request` are the type-erased Replica* /
+/// Request*. A callback instead of a coroutine: the scheduler drives every
+/// later step, so a per-request process would only enqueue and exit.
 void enqueue_request_event(void* replica, void* request);
 
 /// Builds this replica's FleetMetrics after engine.run() returned. Moves
@@ -358,10 +350,11 @@ util::PercentileSummary cycle_summary_ms(std::vector<sim::Cycles> cycles,
 
 /// Open-loop injector shared by both harnesses: replays the pre-generated
 /// arrival schedule, asking `route()` (signature `Replica&()`) for the
-/// target replica the moment each arrival lands. ServingSim routes every
-/// arrival to its lone replica; FleetSim's route() is the LoadBalancer.
-/// One implementation so the two harnesses cannot drift — and routing
-/// must make no engine events, which is what keeps a 1-replica fleet
+/// target replica the moment each arrival lands, and enqueues through an
+/// enqueue_request_event callback. ServingSim routes every arrival to its
+/// lone replica; FleetSim's route() is the LoadBalancer. One
+/// implementation so the two harnesses cannot drift — and routing must
+/// make no engine events, which is what keeps a 1-replica fleet
 /// bit-identical to ServingSim.
 template <typename RouteFn>
 sim::Task arrivals_proc(sim::Engine& engine, TrafficGen& traffic,
@@ -371,22 +364,14 @@ sim::Task arrivals_proc(sim::Engine& engine, TrafficGen& traffic,
     if (a.at > engine.now()) co_await engine.delay(a.at - engine.now());
     Replica& rep = route();
     Request& r = rep.make_request(a.shape);
-    if (rep.shared.scheduler_drives) {
-      // The fast path's root process would only enqueue the request and
-      // exit (the scheduler drives every later step), so skip the
-      // coroutine frame entirely: a callback event in the exact queue
-      // position the spawned root's first resumption would occupy.
-      engine.schedule_call(0, &enqueue_request_event, &rep, &r);
-    } else {
-      engine.spawn(request_proc(rep, r));
-    }
+    engine.schedule_call(0, &enqueue_request_event, &rep, &r);
   }
 }
 
 /// Closed-loop client shared by both harnesses: submit (routed fresh each
 /// iteration, so a client's requests follow the balancer), await
-/// completion, think, repeat. The global request budget is shared across
-/// clients through FleetShared.
+/// completion or rejection, think, repeat. The global request budget is
+/// shared across clients through FleetShared.
 template <typename RouteFn>
 sim::Task client_proc(sim::Engine& engine, FleetShared& shared,
                       TrafficGen& traffic, double think_time_s,
@@ -394,7 +379,7 @@ sim::Task client_proc(sim::Engine& engine, FleetShared& shared,
   while (!shared.arrivals_done()) {
     Replica& rep = route();
     Request& r = rep.make_request(traffic.next_shape());
-    engine.spawn(request_proc(rep, r));
+    engine.schedule_call(0, &enqueue_request_event, &rep, &r);
     co_await r.done.wait();
     if (shared.arrivals_done()) break;
     co_await engine.delay(traffic.exponential_cycles(think_time_s));

@@ -1,11 +1,12 @@
 // One in-flight serving request: its [prefill : decode] shape, lifecycle
-// timestamps (all in accelerator cycles) and the coroutine plumbing that
-// connects its root process to the continuous-batching scheduler.
+// timestamps (all in accelerator cycles) and the per-iteration slot the
+// continuous-batching scheduler fills before stepping it.
 //
 // Lifecycle: Queued -> Running -> Finished, or Queued -> Rejected when
-// admission control drops it. The request's root process (ServingSim) parks
-// on `grant`; every grant is one scheduler iteration turn, and `latch` is
-// that iteration's batch barrier.
+// admission control drops it. A request has no process of its own: an
+// engine callback enqueues it on arrival, and its replica's scheduler
+// advances it through every iteration (serve/replica.hpp). `done` is the
+// one signal left on it, for closed-loop clients awaiting the outcome.
 //
 // Preemption (PreemptPolicy::kRecomputeYoungest) keeps the request Running
 // but frees its KV block list and folds the decode tokens it had produced
@@ -53,7 +54,7 @@ inline constexpr std::uint8_t kReadyFresh = 3;    // prompt not yet started
 
 struct Request {
   Request(sim::Engine& engine, std::uint32_t id_, workload::Scenario shape_)
-      : shape(std::move(shape_)), id(id_), grant(engine), done(engine) {}
+      : shape(std::move(shape_)), id(id_), done(engine) {}
   Request(const Request&) = delete;
   Request& operator=(const Request&) = delete;
 
@@ -90,11 +91,6 @@ struct Request {
   // ---- Per-iteration slot, filled by the scheduler before the step ----
   sim::Cycles step_offset = 0;  // pipeline turn within the iteration
   sim::Cycles step_cycles = 0;  // pipeline occupancy of this step
-  /// Cycles from this member's pipeline egress to the host-visible batch
-  /// egress: the rest of the batch draining, plus the PCIe sync the
-  /// iteration pays once. Timestamps (TTFT, completion) are taken after
-  /// this wait — the token does not exist for the host until then.
-  sim::Cycles post_step_cycles = 0;
 
   // ---- Emission state (engine cycles) ----
   sim::Cycles first_token = 0;  // final prompt chunk egress (TTFT reference)
@@ -163,16 +159,14 @@ struct Request {
   }
   bool finished() const { return prefilled() && decoded >= shape.decode; }
 
-  sim::CountdownLatch* latch = nullptr;  // batch barrier of the iteration
-
   // ---- Disaggregated fleets (FleetConfig::roles) ----
   /// The replica whose arena slot this request occupies (== where the
   /// balancer routed it). Fixed for life: whoever retires the request
   /// erases through owner->pool, however many replicas it visited.
   detail::Replica* owner = nullptr;
   /// The replica currently scheduling this request. Equals `owner` until a
-  /// KV migration or work steal re-homes it; the root process re-reads it
-  /// after every grant so bookkeeping lands on the serving replica.
+  /// KV migration or work steal re-homes it at delivery; from then on the
+  /// new home's scheduler admits, steps and retires it.
   detail::Replica* home = nullptr;
   /// KV migrated to a decode replica after the prompt's last chunk. At
   /// most once per request — a preemption on the decode side recomputes
@@ -182,8 +176,7 @@ struct Request {
   /// stealing); at most once — a stolen request is never re-stolen.
   bool stolen = false;
 
-  sim::Signal grant;  // one set() == one iteration turn
-  sim::Signal done;   // completion/rejection broadcast (closed-loop clients)
+  sim::Signal done;  // completion/rejection broadcast (closed-loop clients)
 
   // ---- Flat-state arena plumbing (Replica::pool) ----
   /// This request's own slot in the replica's arena; whoever retires the

@@ -51,9 +51,6 @@ FleetMetrics ServingSim::run(Observer* observer) const {
   detail::FleetShared shared;
   shared.observer = observer;
   shared.target = config_.traffic.num_requests;
-  shared.scheduler_drives =
-      observer == nullptr &&
-      config_.traffic.process != ArrivalProcess::kClosedLoop;
   detail::Replica replica(engine, config_, costs_, shared, /*id=*/0);
   replica.finished.reserve(shared.target);
   TrafficGen traffic(config_.traffic, config_.arch.frequency_hz);

@@ -2,18 +2,18 @@
 // event loop.
 //
 // ServingSim wires the serve-layer components together: a TrafficGen
-// injects requests (each request is its own root coroutine), a
-// RequestQueue holds them until the paged KvBlockManager has room (whole
-// footprint under PreemptPolicy::kNone, prompt blocks only under
+// injects requests (each arrival is one engine callback), a RequestQueue
+// holds them until the paged KvBlockManager has room (whole footprint
+// under PreemptPolicy::kNone, prompt blocks only under
 // kRecomputeYoungest — decode blocks then grow on demand, preempting the
 // youngest victim when the pool runs dry), and the Scheduler runs
 // iteration-level continuous batching over the admitted set. Batch
 // members occupy the time-shared pipeline back to back inside an
 // iteration — each priced by core::StepCostModel rather than
-// re-simulated — and a CountdownLatch forms the iteration's batch
-// barrier; the host PCIe sync is paid once per iteration. The scheduling
-// machinery itself lives in serve/replica.hpp, shared with the
-// multi-replica FleetSim (serve/fleet.hpp).
+// re-simulated — and the scheduler steps them itself, emitting every
+// member's token at batch egress; the host PCIe sync is paid once per
+// iteration. The scheduling machinery itself lives in serve/replica.hpp,
+// shared with the multi-replica FleetSim (serve/fleet.hpp).
 //
 // Invariants:
 //  - Determinism: same ServingConfig (including traffic seed) =>

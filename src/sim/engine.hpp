@@ -41,6 +41,11 @@ class Engine {
   /// Number of events processed so far.
   std::uint64_t events_processed() const noexcept { return events_; }
 
+  /// True when another event is already queued for the current cycle.
+  bool event_pending_now() const noexcept {
+    return !queue_.empty() && queue_.top().time == now_;
+  }
+
   /// Schedules `h` to resume `delay` cycles from now.
   void schedule(Cycles delay, std::coroutine_handle<> h) {
     schedule_at(now_ + delay, h);
@@ -54,9 +59,9 @@ class Engine {
   /// one-shot event. The callback occupies exactly the queue position the
   /// spawned root's first resumption would have (same clock, same
   /// tie-break sequence number), so swapping one for the other cannot
-  /// reorder any event. Used by the serve layer's scheduler-driven fast
-  /// path, where per-request root processes would otherwise be created
-  /// only to enqueue the request and exit.
+  /// reorder any event. The serve layer lands every arrival this way:
+  /// its scheduler drives each request, so a per-request root process
+  /// would only enqueue the request and exit.
   void schedule_call(Cycles delay, void (*fn)(void*, void*), void* a,
                      void* b) {
     // The payload lives in a side table keyed by the event's sequence
