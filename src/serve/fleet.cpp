@@ -213,10 +213,6 @@ void FleetSim::validate() {
           "fleet replicas must share one arch.frequency_hz" + where);
     }
   }
-  if (!config_.traffic.explicit_arrivals.empty()) {
-    config_.traffic.num_requests = static_cast<std::uint32_t>(
-        config_.traffic.explicit_arrivals.size());
-  }
   const AutoscalerConfig& as = config_.autoscale;
   if (as.enabled) {
     if (!(as.eval_interval_ms > 0)) {
@@ -382,7 +378,7 @@ struct FleetRun {
       : cfg(cfg_),
         traffic(cfg_.traffic, cfg_.replicas.front().arch.frequency_hz),
         balancer(cfg_.balancer) {
-    shared.target = cfg_.traffic.num_requests;
+    shared.target = cfg_.traffic.request_count();
     // The window hook stays null on static runs: the scheduler then never
     // pushes a TTFT sample, and no autoscaler exists to read one.
     if (cfg_.autoscale.enabled) shared.ttft_window = &ttft_window;

@@ -52,7 +52,7 @@ namespace looplynx::serve::detail {
 /// steps its requests through the same scheduler-driven path, whichever
 /// of them are attached.
 struct FleetShared {
-  std::uint32_t target = 0;     // traffic.num_requests, the injection budget
+  std::uint32_t target = 0;  // TrafficConfig::request_count(), the budget
   std::uint32_t injected = 0;   // requests created fleet-wide so far
   std::uint32_t active = 0;     // admitted and unfinished, fleet-wide
   std::uint32_t peak_active = 0;

@@ -31,10 +31,6 @@ ServingSim::ServingSim(const ServingConfig& config, core::StepCostModel costs)
         "kv_swap requires prefix_cache (swap is an eviction tier of the "
         "prefix cache; without the cache there is nothing to swap)");
   }
-  if (!config_.traffic.explicit_arrivals.empty()) {
-    config_.traffic.num_requests = static_cast<std::uint32_t>(
-        config_.traffic.explicit_arrivals.size());
-  }
 }
 
 FleetMetrics ServingSim::run() const { return run(nullptr); }
@@ -50,7 +46,7 @@ FleetMetrics ServingSim::run(Observer* observer) const {
   sim::Engine engine;
   detail::FleetShared shared;
   shared.observer = observer;
-  shared.target = config_.traffic.num_requests;
+  shared.target = config_.traffic.request_count();
   detail::Replica replica(engine, config_, costs_, shared, /*id=*/0);
   replica.finished.reserve(shared.target);
   TrafficGen traffic(config_.traffic, config_.arch.frequency_hz);

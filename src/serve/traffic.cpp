@@ -13,12 +13,6 @@ TrafficGen::TrafficGen(TrafficConfig config, double frequency_hz)
   if (config_.mix.entries.empty()) {
     throw std::invalid_argument("traffic mix has no scenarios");
   }
-  if (!config_.scripted_shapes.empty()) {
-    // A script defines both shapes and request count; arrival times still
-    // come from the configured process.
-    config_.num_requests =
-        static_cast<std::uint32_t>(config_.scripted_shapes.size());
-  }
   if (config_.process != ArrivalProcess::kClosedLoop &&
       config_.arrival_rate_per_s <= 0) {
     throw std::invalid_argument("open-loop arrival rate must be positive");
@@ -108,11 +102,12 @@ std::vector<Arrival> TrafficGen::open_loop_schedule() {
   if (!config_.explicit_arrivals.empty()) return config_.explicit_arrivals;
   assert(config_.process != ArrivalProcess::kClosedLoop);
   std::vector<Arrival> schedule;
-  schedule.reserve(config_.num_requests);
+  const std::uint32_t count = config_.request_count();
+  schedule.reserve(count);
 
   if (config_.process == ArrivalProcess::kPoisson) {
     double t = 0.0;
-    for (std::uint32_t i = 0; i < config_.num_requests; ++i) {
+    for (std::uint32_t i = 0; i < count; ++i) {
       t += exponential_s(config_.arrival_rate_per_s);
       schedule.push_back(Arrival{
           static_cast<sim::Cycles>(t * frequency_hz_), next_shape()});
@@ -144,14 +139,14 @@ std::vector<Arrival> TrafficGen::open_loop_schedule() {
   std::uint64_t period_idx = 0;
   bool on = true;
   double offset = 0.0;  // position within the current phase
-  while (schedule.size() < config_.num_requests) {
+  while (schedule.size() < count) {
     const double len = on ? on_len : off_len;
     const double rate = on ? on_rate : off_rate;
     const double base =
         static_cast<double>(period_idx) * config_.burst_period_s +
         (on ? 0.0 : on_len);
     if (rate > 0) {
-      while (schedule.size() < config_.num_requests) {
+      while (schedule.size() < count) {
         offset += exponential_s(rate);
         if (offset >= len) break;
         schedule.push_back(

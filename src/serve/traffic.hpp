@@ -52,7 +52,7 @@ struct TrafficConfig {
   std::vector<Arrival> explicit_arrivals;
 
   /// When non-empty, arrival i takes `scripted_shapes[i]` instead of a mix
-  /// sample and `num_requests` is the script length — arrival *times* are
+  /// sample and request_count() is the script length — arrival *times* are
   /// still drawn from `process`. This is how ordered workloads (multi-turn
   /// conversations, where turn t must arrive before turn t+1) ride the
   /// open-loop processes; `chat_turn_shapes` below builds such a script.
@@ -71,6 +71,19 @@ struct TrafficConfig {
   // ---- Closed loop ----
   std::uint32_t clients = 8;
   double think_time_s = 0.25;  // mean exponential think time
+
+  /// Requests this config injects: the explicit schedule's length when one
+  /// is given, else the script's length, else `num_requests`. The one
+  /// place the count is resolved — TrafficGen and both harnesses read it.
+  std::uint32_t request_count() const {
+    if (!explicit_arrivals.empty()) {
+      return static_cast<std::uint32_t>(explicit_arrivals.size());
+    }
+    if (!scripted_shapes.empty()) {
+      return static_cast<std::uint32_t>(scripted_shapes.size());
+    }
+    return num_requests;
+  }
 };
 
 /// Multi-turn chatbot traffic: `conversations` independent conversations,

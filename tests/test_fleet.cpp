@@ -327,6 +327,40 @@ TEST(FleetSimTest, ClosedLoopFleetRoutesAndCompletes) {
   expect_identical(a, FleetSim(fleet_cfg).run());
 }
 
+/// A request script longer than `num_requests` is replayed whole by both
+/// harnesses: the script length, not the stale num_requests, is the
+/// injection budget, so every scripted request is offered and resolves.
+/// (FleetSim used to stop at num_requests and strand the rest of the
+/// script in queues whose schedulers had already exited.)
+TEST(FleetSimTest, ScriptedTrafficLongerThanNumRequestsRunsWhole) {
+  ServingConfig cfg = base_config();
+  cfg.model = fleet_model();
+  ChatTrafficConfig chat;
+  chat.conversations = 6;
+  chat.turns = 5;
+  chat.system_prompt_tokens = 24;
+  chat.user_turn_tokens = 8;
+  chat.reply_tokens = 8;
+  cfg.traffic.scripted_shapes = chat_turn_shapes(chat);
+  cfg.traffic.num_requests = 8;
+  const std::uint64_t script = cfg.traffic.scripted_shapes.size();
+  ASSERT_EQ(cfg.traffic.request_count(), script);
+  ASSERT_GT(script, cfg.traffic.num_requests);
+
+  const FleetMetrics lone = ServingSim(cfg).run();
+  EXPECT_EQ(lone.offered, script);
+  EXPECT_EQ(lone.completed + lone.rejected, lone.offered);
+
+  const FleetResult fleet =
+      FleetSim(FleetConfig::homogeneous(cfg, 2,
+                                        BalancerPolicy::kJoinShortestQueue))
+          .run();
+  EXPECT_EQ(fleet.fleet.offered, script);
+  EXPECT_EQ(fleet.fleet.completed + fleet.fleet.rejected,
+            fleet.fleet.offered);
+  EXPECT_GT(fleet.fleet.completed, cfg.traffic.num_requests);
+}
+
 // ------------------------------------------------- The acceptance pin
 
 /// The PR's acceptance criterion: on a skewed scenario mix at a fixed
