@@ -27,6 +27,9 @@
 //         "wall_s": float,        // host wall-clock for the run() call
 //         "sim_req_per_s": float, // completed / wall_s — the headline
 //         "events": int,          // engine events processed
+//                                 //   (FleetMetrics::engine_events)
+//         "iterations": int,      // scheduler iterations, summed over
+//                                 //   replicas
 //         "events_per_s": float,
 //         "sim_makespan_s": float // simulated duration (determinism aid)
 //       }, ... ]
@@ -67,6 +70,7 @@ struct Point {
   double wall_s = 0.0;
   double sim_req_per_s = 0.0;
   std::uint64_t events = 0;
+  std::uint64_t iterations = 0;
   double events_per_s = 0.0;
   double sim_makespan_s = 0.0;
 };
@@ -100,7 +104,8 @@ serve::ServingConfig base_config(std::uint32_t requests) {
 
 /// Best-of-N repetitions (host noise is one-sided: it only ever slows a
 /// rep down). The simulated outputs are deterministic, so every rep
-/// produces identical completed/events/makespan — only wall_s varies.
+/// produces identical completed/events/iterations/makespan — only wall_s
+// varies.
 int g_repeat = 3;
 
 template <typename RunFn>
@@ -122,11 +127,13 @@ Point timed_point(const std::string& name, std::uint64_t requests,
     }
     if (rep == 0 || p.wall_s < best.wall_s) best = p;
   }
-  std::printf("%-28s %9llu req  %7.2fs wall  %12.0f req/s  %14llu events\n",
-              best.name.c_str(),
-              static_cast<unsigned long long>(best.requests), best.wall_s,
-              best.sim_req_per_s,
-              static_cast<unsigned long long>(best.events));
+  std::printf(
+      "%-28s %9llu req  %7.2fs wall  %12.0f req/s  %12llu events  %10llu "
+      "iters\n",
+      best.name.c_str(), static_cast<unsigned long long>(best.requests),
+      best.wall_s, best.sim_req_per_s,
+      static_cast<unsigned long long>(best.events),
+      static_cast<unsigned long long>(best.iterations));
   std::fflush(stdout);
   return best;
 }
@@ -140,9 +147,8 @@ Point single_point(const std::string& name, std::uint32_t requests,
         const serve::FleetMetrics m = sim.run();
         p.completed = m.completed + m.rejected;
         p.sim_makespan_s = m.duration_s;
-        // events_processed is not exposed through FleetMetrics; derive a
-        // proxy from iterations so the column is still monotone in work.
-        p.events = m.iterations;
+        p.events = m.engine_events;
+        p.iterations = m.iterations;
       },
       repeat);
 }
@@ -158,7 +164,8 @@ Point fleet_point(const std::string& name, std::uint32_t requests,
         const serve::FleetResult r = serve::FleetSim(cfg).run();
         p.completed = r.fleet.completed + r.fleet.rejected;
         p.sim_makespan_s = r.fleet.duration_s;
-        p.events = r.fleet.iterations;
+        p.events = r.fleet.engine_events;
+        p.iterations = r.fleet.iterations;
       },
       g_repeat);
 }
@@ -173,12 +180,13 @@ void write_json(const std::string& path, const std::vector<Point>& points) {
         buf, sizeof(buf),
         "    { \"name\": \"%s\", \"requests\": %llu, \"completed\": %llu, "
         "\"replicas\": %u, \"wall_s\": %.3f, \"sim_req_per_s\": %.1f, "
-        "\"events\": %llu, \"events_per_s\": %.1f, \"sim_makespan_s\": "
-        "%.6f }%s\n",
+        "\"events\": %llu, \"iterations\": %llu, \"events_per_s\": %.1f, "
+        "\"sim_makespan_s\": %.6f }%s\n",
         p.name.c_str(), static_cast<unsigned long long>(p.requests),
         static_cast<unsigned long long>(p.completed), p.replicas, p.wall_s,
         p.sim_req_per_s, static_cast<unsigned long long>(p.events),
-        p.events_per_s, p.sim_makespan_s,
+        static_cast<unsigned long long>(p.iterations), p.events_per_s,
+        p.sim_makespan_s,
         i + 1 < points.size() ? "," : "");
     out << buf;
   }

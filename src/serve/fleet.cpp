@@ -743,6 +743,7 @@ FleetResult FleetSim::run(Observer* observer) const {
     result.routed.push_back(r->routed);
   }
   m.offered = run.shared.injected;
+  m.engine_events = run.engine.events_processed();
   m.slo_good = good;
   m.slo = config_.replicas.front().slo;
   m.duration_s = duration_s;

@@ -66,6 +66,7 @@ FleetMetrics ServingSim::run(Observer* observer) const {
   engine.run();
 
   FleetMetrics metrics = detail::finalize_metrics(replica);
+  metrics.engine_events = engine.events_processed();
   if (observer != nullptr) observer->finalize(engine.now());
   return metrics;
 }

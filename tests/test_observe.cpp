@@ -326,6 +326,38 @@ TEST(ObserveRunTest, AutoscaledRunRecordsScaleAndDrainEvents) {
   EXPECT_EQ(count_kind(obs, LifecycleEvent::kDrain), downs);
 }
 
+/// Observation adds no engine events: an observed run processes exactly
+/// as many as the same run unobserved, on a single replica under paged
+/// recompute preemption, a JSQ fleet and a 2-prefill + 1-decode fleet
+/// migrating KV over the fabric.
+TEST(ObserveRunTest, ObservedRunProcessesTheSameEngineEvents) {
+  {
+    const ServingConfig cfg = preempting_config();
+    const std::uint64_t plain = ServingSim(cfg).run().engine_events;
+    Observer obs(1, cfg.arch.frequency_hz);
+    const FleetMetrics observed = ServingSim(cfg).run(&obs);
+    ASSERT_GT(observed.preemptions, 0u);
+    EXPECT_GT(plain, 0u);
+    EXPECT_EQ(observed.engine_events, plain);
+  }
+  ServingConfig base = base_config();
+  base.traffic.num_requests = 48;
+  FleetConfig jsq =
+      FleetConfig::homogeneous(base, 3, BalancerPolicy::kJoinShortestQueue);
+  FleetConfig disagg = jsq;
+  disagg.roles = {ReplicaRole::kPrefill, ReplicaRole::kPrefill,
+                  ReplicaRole::kDecode};
+  for (const FleetConfig* cfg : {&jsq, &disagg}) {
+    const FleetResult plain = FleetSim(*cfg).run();
+    Observer obs(3, base.arch.frequency_hz);
+    const FleetResult observed = FleetSim(*cfg).run(&obs);
+    EXPECT_GT(plain.fleet.engine_events, 0u);
+    EXPECT_EQ(observed.fleet.engine_events, plain.fleet.engine_events);
+    EXPECT_EQ(observed.fleet.kv_migrations, plain.fleet.kv_migrations);
+  }
+  EXPECT_GT(FleetSim(disagg).run().fleet.kv_migrations, 0u);
+}
+
 TEST(ObserveRunTest, RunRejectsMismatchedObserverWidth) {
   const ServingConfig cfg = base_config();
   Observer wide(2, cfg.arch.frequency_hz);
