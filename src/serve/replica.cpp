@@ -798,7 +798,8 @@ sim::Task scheduler_proc(Replica& f) {
       f.total_tokens += r->step_tokens;
       if (f.cache) {
         // Publish every newly completed full prompt block: ownership moves
-        // from the private list to the cache (no pool effect), so later
+        // from the private list to the cache (or, when an identical block
+        // is already cached, the duplicate returns to the pool), so later
         // requests with the same prefix admit straight onto it. Recovery
         // re-prefills publish too — the dedup path re-shares the blocks
         // the preemption walked away from.

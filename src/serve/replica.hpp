@@ -52,7 +52,7 @@ namespace looplynx::serve::detail {
 /// steps its requests through the same scheduler-driven path, whichever
 /// of them are attached.
 struct FleetShared {
-  std::uint32_t target = 0;  // TrafficConfig::request_count(), the budget
+  std::uint32_t target = 0;     // injection budget: request_count()
   std::uint32_t injected = 0;   // requests created fleet-wide so far
   std::uint32_t active = 0;     // admitted and unfinished, fleet-wide
   std::uint32_t peak_active = 0;
@@ -306,7 +306,8 @@ struct Replica {
 /// every member through the time-shared pipeline back to back, pay host
 /// sync once, emit the tokens, repeat. The scheduler advances each member
 /// itself — requests have no process of their own — so an iteration costs
-/// two engine events (pipeline end, egress) whatever the batch size.
+/// one engine event (the sleep to egress) whatever the batch size, plus a
+/// yield when other events are queued for the egress cycle.
 /// Exits when the fleet-wide arrival stream is exhausted and this replica
 /// has drained. Livelock-freedom under kRecomputeYoungest holds per
 /// replica (eviction never crosses replicas — each owns its KV pool).

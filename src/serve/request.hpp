@@ -76,7 +76,7 @@ struct Request {
   /// preemption: their KV was dropped, so the prefill target stretches to
   /// shape.prefill + recompute_decoded and chunked prefill rebuilds it.
   std::uint32_t recompute_decoded = 0;
-  /// Prompt tokens granted this turn (a prefill chunk); 0 == decode step.
+  /// Prompt tokens scheduled this turn (a prefill chunk); 0 == decode step.
   /// Filled by the scheduler before the member steps.
   std::uint32_t step_tokens = 0;
   /// Global ready-FIFO position, assigned by ReadyQueue::push_back. The
