@@ -1,14 +1,22 @@
 // Microbenchmarks of the discrete-event simulation engine itself: event
 // throughput, FIFO hand-off cost, and full-token simulation rates. These
-// bound how long the table/figure harnesses take.
+// bound how long the table/figure harnesses take. BM_PrefixCacheReclaim
+// times one serve-layer component in isolation: the prefix cache's
+// victim pick as the number of cached blocks grows.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/arch_config.hpp"
+#include "core/step_cost.hpp"
 #include "core/system.hpp"
 #include "model/config.hpp"
+#include "serve/kv_block.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo.hpp"
 #include "sim/task.hpp"
+#include "workload/scenario.hpp"
 
 namespace {
 
@@ -63,6 +71,43 @@ void BM_TokenSimulation(benchmark::State& state) {
   state.SetLabel("GPT-2 345M, one token");
 }
 BENCHMARK(BM_TokenSimulation)->Arg(1)->Arg(2)->Arg(4);
+
+/// Commits one single-block chain of request-unique content and drops the
+/// request's reference, leaving the block cached-idle.
+void cache_one_block(serve::KvBlockManager& kv, serve::PrefixCache& cache,
+                     const workload::Scenario& shape, std::uint64_t id) {
+  serve::CacheBinding binding;
+  serve::KvBlockList list;
+  cache.acquire(shape, id, shape.prefill, shape.prefill + 1, binding);
+  kv.try_grow(list, shape.prefill);
+  cache.commit(shape, id, shape.prefill, shape.prefill, list, binding);
+  cache.release(binding);
+}
+
+void BM_PrefixCacheReclaim(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::uint32_t kBlockTokens = 16;
+  const core::ArchConfig arch = core::ArchConfig::one_node();
+  const model::ModelConfig model = model::cosim_config();
+  const core::StepCostModel costs(arch, model, 16);
+  const std::uint64_t token_bytes =
+      serve::KvBlockManager(arch, model, 1).bytes_per_token_per_node();
+  serve::KvBlockManager kv(arch, model, (n + 1) * kBlockTokens * token_bytes,
+                           kBlockTokens);
+  serve::PrefixCache cache(kv, costs, /*swap_enabled=*/false);
+  const workload::Scenario shape = workload::make_scenario(kBlockTokens, 1);
+  std::uint64_t id = 0;
+  while (id < n) cache_one_block(kv, cache, shape, id++);
+  // Steady state: every iteration evicts the oldest idle block and caches
+  // a fresh one, so the cache holds n blocks throughout.
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.reclaim(1));
+    cache_one_block(kv, cache, shape, id++);
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::to_string(cache.resident_blocks()) + " cached blocks");
+}
+BENCHMARK(BM_PrefixCacheReclaim)->Arg(1 << 10)->Arg(16 << 10)->Arg(64 << 10);
 
 }  // namespace
 

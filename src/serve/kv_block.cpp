@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -135,24 +134,49 @@ sim::Cycles PrefixCache::rebuild_cycles(std::uint32_t depth) const {
   return costs_.prefill_chunk_cycles(start, end - start);
 }
 
+void PrefixCache::reindex(std::uint64_t hash, CachedBlock& block) {
+  const bool idle =
+      block.refcount == 0 && block.children == 0 && block.resident;
+  if (idle == block.idle) return;
+  const IdleKey key{block.cost, block.inserted, hash};
+  if (idle) {
+    idle_.insert(key);
+  } else {
+    idle_.erase(key);
+  }
+  block.idle = idle;
+}
+
+void PrefixCache::child_residency(std::uint64_t parent, bool resident) {
+  auto it = blocks_.find(parent);
+  if (it == blocks_.end()) return;
+  CachedBlock& p = it->second;
+  if (resident) {
+    ++p.children;
+  } else if (p.children > 0) {
+    --p.children;
+  }
+  reindex(parent, p);
+}
+
 void PrefixCache::take_ref(std::uint64_t hash, CacheBinding& binding) {
   CachedBlock& b = blocks_.at(hash);
   ++b.refcount;
+  reindex(hash, b);
   binding.chain.push_back(hash);
   binding.owned_tokens += kv_.block_tokens();
   binding.tail_hash = hash;
 }
 
 bool PrefixCache::restore(std::uint64_t hash, CachedBlock& block) {
-  (void)hash;
   if (kv_.free_blocks() == 0) reclaim(1);
   KvBlockList one;
   if (!kv_.try_grow(one, kv_.block_tokens())) return false;
   block.resident = true;
+  reindex(hash, block);
   // Back in residency: re-pin the parent (acquire restores root-first, so
   // the parent is already resident when its child comes back).
-  auto parent_it = blocks_.find(block.parent);
-  if (parent_it != blocks_.end()) ++parent_it->second.children;
+  child_residency(block.parent, true);
   ++resident_blocks_;
   ++swap_in_blocks_;
   pending_swap_cycles_ += swap_transfer_cycles_;
@@ -243,8 +267,8 @@ void PrefixCache::commit(const workload::Scenario& scenario,
         KvBlockList one;
         if (kv_.try_grow(one, bt)) {
           it->second.resident = true;
-          auto parent_it = blocks_.find(it->second.parent);
-          if (parent_it != blocks_.end()) ++parent_it->second.children;
+          reindex(h, it->second);
+          child_residency(it->second.parent, true);
           ++resident_blocks_;
         }
       }
@@ -253,13 +277,12 @@ void PrefixCache::commit(const workload::Scenario& scenario,
       kv_.transfer_out(list, 1);
       CachedBlock b;
       b.parent = binding.tail_hash;
-      b.depth = start / bt;
+      b.cost = rebuild_cycles(start / bt);
       b.inserted = tick_++;
+      // Not indexed yet: take_ref below pins it before anything can
+      // reclaim it.
       blocks_.emplace(h, b);
-      if (binding.tail_hash != kNoBlockHash) {
-        auto parent_it = blocks_.find(binding.tail_hash);
-        if (parent_it != blocks_.end()) ++parent_it->second.children;
-      }
+      child_residency(binding.tail_hash, true);
       ++resident_blocks_;
       ++insert_blocks_;
     }
@@ -293,6 +316,7 @@ void PrefixCache::release(CacheBinding& binding) {
       throw std::logic_error("prefix cache released an unheld reference");
     }
     --it->second.refcount;
+    reindex(h, it->second);
   }
   if (binding.partial_registered) {
     auto pit = partials_.find(binding.partial_parent);
@@ -309,38 +333,28 @@ void PrefixCache::release(CacheBinding& binding) {
 std::uint32_t PrefixCache::reclaim(std::uint32_t blocks) {
   const std::uint32_t bt = kv_.block_tokens();
   std::uint32_t freed = 0;
-  while (freed < blocks) {
-    // Cost-aware victim scan: cheapest-to-rebuild cached-idle leaf first
-    // (refcount 0, no cached children, resident), deterministically
-    // tie-broken by insertion order then hash.
-    auto victim = blocks_.end();
-    sim::Cycles victim_cost = std::numeric_limits<sim::Cycles>::max();
-    for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
-      const CachedBlock& b = it->second;
-      if (b.refcount != 0 || b.children != 0 || !b.resident) continue;
-      const sim::Cycles cost = rebuild_cycles(b.depth);
-      if (victim == blocks_.end() || cost < victim_cost ||
-          (cost == victim_cost && b.inserted < victim->second.inserted)) {
-        victim = it;
-        victim_cost = cost;
-      }
+  while (freed < blocks && !idle_.empty()) {
+    // Cheapest-to-rebuild cached-idle leaf first (refcount 0, no resident
+    // children, resident), oldest first among equals: idle_'s first key.
+    const std::uint64_t hash = std::get<2>(*idle_.begin());
+    idle_.erase(idle_.begin());
+    auto victim = blocks_.find(hash);
+    if (victim == blocks_.end()) {
+      throw std::logic_error("prefix cache idle index lists a dropped block");
     }
-    if (victim == blocks_.end()) break;
+    CachedBlock& b = victim->second;
+    b.idle = false;
     // Tier decision: keep the KV (swap to host) when a round-trip is
     // cheaper than recomputing it, otherwise discard and let a future
     // miss re-prefill.
-    const bool swap_out =
-        swap_enabled_ && 2 * swap_transfer_cycles_ < victim_cost;
+    const bool swap_out = swap_enabled_ && 2 * swap_transfer_cycles_ < b.cost;
     // Either way the victim leaves residency, so its parent's
     // resident-children count drops — a parent whose subtree is entirely
     // swapped out must itself remain evictable/swappable or refcount-0
     // chains would pin the pool forever.
-    auto parent_it = blocks_.find(victim->second.parent);
-    if (parent_it != blocks_.end() && parent_it->second.children > 0) {
-      --parent_it->second.children;
-    }
+    child_residency(b.parent, false);
     if (swap_out) {
-      victim->second.resident = false;
+      b.resident = false;
       ++swap_out_blocks_;
       pending_swap_cycles_ += swap_transfer_cycles_;
       swap_cycles_total_ += swap_transfer_cycles_;
@@ -373,6 +387,7 @@ void PrefixCache::drain() {
     }
   }
   blocks_.clear();
+  idle_.clear();
   partials_.clear();
 }
 

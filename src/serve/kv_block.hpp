@@ -30,6 +30,9 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "core/arch_config.hpp"
@@ -212,13 +215,17 @@ struct PrefixHit {
 ///    extending continuation resolves to a private copy at admission
 ///    (copy-on-write), priced as saved prefill, and is only valid while
 ///    the owner still holds the physical block.
-///  - Reclaim is cost-aware and leaf-only: among refcount-zero blocks
-///    with no cached children, the cheapest-to-rebuild (by
-///    StepCostModel::recompute_cycles over the block's position span) is
-///    evicted first, deterministically tie-broken by insertion order then
-///    hash. With the swap tier enabled a victim whose rebuild costs more
-///    than a host round-trip is swapped out over the DMA/PCIe model
-///    instead of discarded, and restored (and re-priced) on its next hit.
+///  - Reclaim is cost-aware and leaf-only: among resident refcount-zero
+///    blocks with no resident children, the cheapest-to-rebuild (by
+///    rebuild_cycles over the block's position span) is evicted first,
+///    tie-broken by insertion order. Insertion ticks are unique, so that
+///    order is total and no hash tie-break can ever fire. The order lives
+///    in idle_, an index of exactly the eligible blocks kept in step
+///    wherever a refcount, a child count or residency changes: a victim
+///    is its first key, O(log n), not a scan of every cached block. With
+///    the swap tier enabled a victim whose rebuild costs more than a host
+///    round-trip is swapped out over the DMA/PCIe model instead of
+///    discarded, and restored (and re-priced) on its next hit.
 ///  - Swap transfer cycles accumulate in a ledger the scheduler drains
 ///    into the observer's `kv-swap` category each iteration, so the
 ///    cycle-accounting tiling identity holds with swapping active.
@@ -306,7 +313,9 @@ class PrefixCache {
  private:
   struct CachedBlock {
     std::uint64_t parent = kNoBlockHash;
-    std::uint32_t depth = 0;      // 0-based chain depth
+    /// rebuild_cycles(depth), priced once at insertion: a block's depth
+    /// never changes, and the idle index is keyed on it.
+    sim::Cycles cost = 0;
     std::uint32_t refcount = 0;   // live sharers
     /// *Resident* cached blocks whose parent is this one. Counting only
     /// resident children is what keeps reclaim livelock-free: a parent
@@ -317,7 +326,11 @@ class PrefixCache {
     std::uint32_t children = 0;
     std::uint64_t inserted = 0;   // insertion tick (reclaim tie-break)
     bool resident = true;         // false = swapped to host DRAM
+    bool idle = false;            // listed in idle_ (see reindex)
   };
+  /// Reclaim order: (rebuild cost, insertion tick, chain hash). Ticks are
+  /// unique, so the hash only makes the key a set key.
+  using IdleKey = std::tuple<sim::Cycles, std::uint64_t, std::uint64_t>;
   struct PartialTail {
     std::uint64_t hash = 0;       // chain_next(parent, content of k tokens)
     std::uint32_t tokens = 0;     // k, 1 <= k < block_tokens
@@ -326,15 +339,25 @@ class PrefixCache {
 
   void take_ref(std::uint64_t hash, CacheBinding& binding);
   bool restore(std::uint64_t hash, CachedBlock& block);
+  /// Lists `block` in idle_ exactly when it is reclaimable (refcount 0, no
+  /// resident children, resident). Call after any change to those fields.
+  void reindex(std::uint64_t hash, CachedBlock& block);
+  /// A child of `parent` entered (`resident`) or left HBM: adjusts the
+  /// parent's resident-children count and reindexes it. A no-op for roots
+  /// and for parents already evicted.
+  void child_residency(std::uint64_t parent, bool resident);
 
   KvBlockManager& kv_;
   const core::StepCostModel& costs_;
   bool swap_enabled_ = false;
   sim::Cycles swap_transfer_cycles_ = 0;
-  // Keyed by chain hash; std::map for deterministic reclaim scans. 64-bit
+  // Keyed by chain hash. Nothing depends on its iteration order: reclaim
+  // picks victims from idle_, and drain()'s result is order-free. 64-bit
   // content hashes are treated as collision-free (documented model
   // assumption, same as vLLM's).
-  std::map<std::uint64_t, CachedBlock> blocks_;
+  std::unordered_map<std::uint64_t, CachedBlock> blocks_;
+  // Every reclaimable block, cheapest-to-rebuild then oldest first.
+  std::set<IdleKey> idle_;
   std::map<std::uint64_t, std::vector<PartialTail>> partials_;  // by parent
   std::uint64_t tick_ = 0;              // insertion counter
   std::uint32_t resident_blocks_ = 0;   // cache-owned blocks in HBM

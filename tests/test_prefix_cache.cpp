@@ -7,7 +7,10 @@
 // failure points at the cache, not the scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/arch_config.hpp"
@@ -16,6 +19,7 @@
 #include "serve/kv_block.hpp"
 #include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
+#include "util/rng.hpp"
 #include "workload/scenario.hpp"
 
 namespace looplynx::serve {
@@ -208,6 +212,89 @@ TEST_F(PrefixCacheTest, ReclaimSkipsReferencedBlocksAndFreesIdleLeaves) {
   cache_.drain();
 }
 
+/// What a fresh lookup of `s` hits. The prefill target is one past the
+/// prompt so the whole prompt is eligible; the references taken are
+/// dropped again, which leaves every hit block cached-idle.
+PrefixHit probe_hit(PrefixCache& cache, const workload::Scenario& s,
+                    std::uint64_t id) {
+  CacheBinding b;
+  const PrefixHit hit = cache.acquire(s, id, s.prefill, s.prefill + 1, b);
+  cache.release(b);
+  return hit;
+}
+
+TEST_F(PrefixCacheTest, ReclaimTakesCheapestLeafThenOldest) {
+  ASSERT_LT(cache_.rebuild_cycles(0), cache_.rebuild_cycles(1));
+  // Inserted in this order: a0 (depth 0), a1 (depth 1), b0, c0 (depth 0).
+  const workload::Scenario a = shared_prefix_scenario(16, 16, 8, 21);
+  const workload::Scenario b = shared_prefix_scenario(8, 8, 8, 22);
+  const workload::Scenario c = shared_prefix_scenario(8, 8, 8, 23);
+  std::uint64_t id = 1;
+  for (const workload::Scenario* s : {&a, &b, &c}) {
+    KvBlockList list;
+    CacheBinding binding;
+    run_prefill(*s, id++, list, binding);
+    cache_.release(binding);
+  }
+  ASSERT_EQ(kv_.used_blocks(), 4u);
+
+  // Idle leaves: a1 (oldest, depth 1), b0 and c0 (depth 0). Equal-cost
+  // leaves go oldest first, so b0 leaves before c0 ...
+  EXPECT_EQ(cache_.reclaim(1), 1u);
+  EXPECT_EQ(probe_hit(cache_, b, id++).chain_blocks, 0u);
+  EXPECT_EQ(probe_hit(cache_, c, id++).chain_blocks, 1u);
+  EXPECT_EQ(probe_hit(cache_, a, id++).chain_blocks, 2u);
+  // ... and the cheaper c0 leaves before the older but deeper a1.
+  EXPECT_EQ(cache_.reclaim(1), 1u);
+  EXPECT_EQ(probe_hit(cache_, c, id++).chain_blocks, 0u);
+  EXPECT_EQ(probe_hit(cache_, a, id++).chain_blocks, 2u);
+  // a0 only becomes a leaf once a1 is gone.
+  EXPECT_EQ(cache_.reclaim(1), 1u);
+  EXPECT_EQ(probe_hit(cache_, a, id++).chain_blocks, 1u);
+  EXPECT_EQ(cache_.reclaim(1), 1u);
+  EXPECT_EQ(probe_hit(cache_, a, id++).chain_blocks, 0u);
+  EXPECT_EQ(cache_.evict_blocks(), 4u);
+  EXPECT_EQ(kv_.used_blocks(), 0u);
+  EXPECT_EQ(cache_.reclaim(1), 0u);
+  cache_.drain();
+}
+
+TEST_F(PrefixCacheTest, SwapTierKeepsTheVictimOrderAcrossRestores) {
+  PrefixCache swap_cache(kv_, costs_, /*swap_enabled=*/true);
+  // Every block here is worth keeping, so each victim shows up as a
+  // swap-out and the order as which prefix needs a swap-in later.
+  ASSERT_GT(swap_cache.rebuild_cycles(0),
+            2 * swap_cache.swap_transfer_cycles());
+  const workload::Scenario deep = shared_prefix_scenario(16, 16, 8, 31);
+  const workload::Scenario shallow = shared_prefix_scenario(8, 8, 8, 32);
+  for (const workload::Scenario* s : {&deep, &shallow}) {
+    KvBlockList list;
+    CacheBinding binding;
+    run_prefill(*s, s == &deep ? 1 : 2, list, binding, &swap_cache);
+    swap_cache.release(binding);
+  }
+
+  // The newer but shallower block goes first ...
+  EXPECT_EQ(swap_cache.reclaim(1), 1u);
+  EXPECT_EQ(swap_cache.swap_out_blocks(), 1u);
+  EXPECT_EQ(swap_cache.evict_blocks(), 0u);
+  EXPECT_EQ(probe_hit(swap_cache, deep, 3).swapped_in, 0u);
+  EXPECT_EQ(probe_hit(swap_cache, shallow, 4).swapped_in, 1u);
+  // ... and again after its restore: it keeps its cost and insertion tick.
+  EXPECT_EQ(swap_cache.reclaim(1), 1u);
+  EXPECT_EQ(probe_hit(swap_cache, deep, 5).swapped_in, 0u);
+  // Then the deep leaf, then its parent (swapped children do not pin it).
+  EXPECT_EQ(swap_cache.reclaim(2), 2u);
+  EXPECT_EQ(swap_cache.swap_out_blocks(), 4u);
+  EXPECT_EQ(kv_.used_blocks(), 0u);
+  const PrefixHit back = probe_hit(swap_cache, deep, 6);
+  EXPECT_EQ(back.chain_blocks, 2u);
+  EXPECT_EQ(back.swapped_in, 2u);
+  EXPECT_EQ(swap_cache.evict_blocks(), 0u);
+  swap_cache.drain();
+  EXPECT_EQ(kv_.used_blocks(), 0u);
+}
+
 TEST_F(PrefixCacheTest, DrainThrowsOnLiveReferences) {
   const workload::Scenario s =
       shared_prefix_scenario(16, 16, 8, /*content_seed=*/4);
@@ -305,6 +392,156 @@ TEST_F(PrefixCacheTest, SwappedBlocksRestoreOnTheNextHit) {
   swap_cache.release(b2);
   swap_cache.drain();
   EXPECT_EQ(kv_.used_blocks(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded churn: the idle index never drifts from the blocks it lists
+// ---------------------------------------------------------------------------
+
+/// One in-flight request of the churn loop.
+struct ChurnRequest {
+  const workload::Scenario* shape = nullptr;
+  std::uint64_t id = 0;
+  std::uint32_t done = 0;  // prefill cursor
+  KvBlockList list;
+  CacheBinding binding;
+};
+
+/// Drives one PrefixCache (swap on, a pool far smaller than the working
+/// set) through rounds of overlapping chat requests: admit with reclaim
+/// relief, prefill in random chunks, grow decode blocks, release at random
+/// points. Whenever every binding is released, every resident cache block
+/// is cached-idle, so reclaiming resident_blocks() must free exactly that
+/// many — a stale or missing idle-index entry breaks the count. The same
+/// check runs at random points mid-round, net of the blocks live requests
+/// still reference.
+void run_churn(std::uint64_t seed) {
+  const model::ModelConfig model = model::cosim_config();
+  const std::uint64_t token_bytes =
+      KvBlockManager(core::ArchConfig::one_node(), model, 1)
+          .bytes_per_token_per_node();
+  // Price the host round-trip between the rebuild costs of depths 2 and 3,
+  // so shallow victims are discarded (stranding swapped descendants) and
+  // deep ones swapped: both reclaim tiers fire.
+  core::ArchConfig arch = core::ArchConfig::one_node();
+  {
+    const core::StepCostModel costs(arch, model, 16);
+    KvBlockManager kv(arch, model, 0, kBlockTokens);
+    const PrefixCache probe(kv, costs, /*swap_enabled=*/true);
+    const sim::Cycles mid =
+        (probe.rebuild_cycles(2) + probe.rebuild_cycles(3)) / 2;
+    arch.host_sync_cycles += mid / 2 - probe.swap_transfer_cycles();
+  }
+  const core::StepCostModel costs(arch, model, 16);
+  KvBlockManager kv(arch, model, 40 * kBlockTokens * token_bytes,
+                    kBlockTokens);
+  PrefixCache cache(kv, costs, /*swap_enabled=*/true);
+  ASSERT_LT(cache.rebuild_cycles(2), 2 * cache.swap_transfer_cycles());
+  ASSERT_GT(cache.rebuild_cycles(3), 2 * cache.swap_transfer_cycles());
+
+  ChatTrafficConfig chat;
+  chat.conversations = 4;
+  chat.turns = 4;
+  chat.system_prompt_tokens = 24;
+  chat.user_turn_tokens = 8;
+  chat.reply_tokens = 8;
+  const std::vector<workload::Scenario> shapes = chat_turn_shapes(chat);
+
+  util::Rng rng(seed);
+  const auto grow = [&](ChurnRequest& r, std::uint32_t tokens) {
+    const std::uint32_t priv =
+        tokens > r.binding.owned_tokens ? tokens - r.binding.owned_tokens : 0;
+    const std::uint32_t want = kv.blocks_for(priv);
+    const std::uint32_t missing =
+        want > r.list.blocks ? want - r.list.blocks : 0;
+    if (missing > kv.free_blocks()) cache.reclaim(missing - kv.free_blocks());
+    return kv.try_grow(r.list, priv);
+  };
+  const auto finish = [&](ChurnRequest& r) {
+    cache.release(r.binding);
+    kv.release_all(r.list);
+  };
+
+  std::vector<ChurnRequest> live;
+  // Live bindings hold whole root-first chains, so the referenced blocks
+  // are closed under ancestors and every other resident block can be
+  // reclaimed leaf-first.
+  const auto reclaimable = [&] {
+    std::set<std::uint64_t> pinned;
+    for (const ChurnRequest& r : live) {
+      pinned.insert(r.binding.chain.begin(), r.binding.chain.end());
+    }
+    return cache.resident_blocks() -
+           static_cast<std::uint32_t>(pinned.size());
+  };
+  std::uint64_t next_id = 1;
+  std::uint64_t hit_tokens = 0;
+  for (int round = 0; round < 60; ++round) {
+    std::uint64_t arrivals = 1 + rng.next_below(6);
+    while (arrivals > 0 || !live.empty()) {
+      if (rng.next_below(16) == 0) {
+        const std::uint32_t idle = reclaimable();
+        ASSERT_EQ(cache.reclaim(cache.resident_blocks()), idle)
+            << "mid-round " << round;
+      }
+      const std::uint64_t roll = rng.next_below(3);
+      if (arrivals > 0 && (live.empty() || roll == 0)) {
+        --arrivals;
+        ChurnRequest r;
+        r.shape = &shapes[rng.next_below(shapes.size())];
+        r.id = next_id++;
+        const std::uint32_t prompt = r.shape->prefill;
+        hit_tokens +=
+            cache.acquire(*r.shape, r.id, prompt, prompt, r.binding)
+                .cached_tokens;
+        r.done = r.binding.cached_tokens;
+        if (grow(r, prompt)) {
+          live.push_back(std::move(r));
+        } else {
+          finish(r);
+        }
+        continue;
+      }
+      const std::size_t pick = rng.next_below(live.size());
+      ChurnRequest& r = live[pick];
+      const std::uint32_t prompt = r.shape->prefill;
+      bool done = roll == 2;
+      if (!done && r.done < prompt) {
+        r.done = std::min<std::uint32_t>(
+            prompt, r.done + 1 + static_cast<std::uint32_t>(
+                                     rng.next_below(2 * kBlockTokens)));
+        cache.commit(*r.shape, r.id, r.done, prompt, r.list, r.binding);
+      } else if (!done) {
+        // Decode growth; a failed grow is a preemption.
+        done = !grow(r, r.list.committed_tokens + r.binding.owned_tokens +
+                            kBlockTokens);
+      }
+      if (done) {
+        finish(r);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+    }
+    const std::uint32_t resident = cache.resident_blocks();
+    ASSERT_EQ(cache.reclaim(resident), resident) << "end of round " << round;
+    ASSERT_EQ(cache.resident_blocks(), 0u) << "end of round " << round;
+    ASSERT_EQ(kv.used_blocks(), 0u) << "end of round " << round;
+  }
+  cache.drain();
+  EXPECT_EQ(kv.used_blocks(), 0u);
+  EXPECT_EQ(kv.over_release_events(), 0u);
+  // Non-vacuous: the rounds shared prefixes and used both reclaim tiers.
+  EXPECT_GT(hit_tokens, 0u);
+  EXPECT_GT(cache.evict_blocks(), 0u);
+  EXPECT_GT(cache.swap_out_blocks(), 0u);
+  EXPECT_GT(cache.swap_in_blocks(), 0u);
+}
+
+TEST(PrefixCacheChurn, IdleIndexStaysExactUnderSeededChurn) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "churn seed=" << seed);
+    run_churn(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // ---------------------------------------------------------------------------
