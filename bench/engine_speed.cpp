@@ -53,7 +53,6 @@
 #include "core/step_cost.hpp"
 #include "model/config.hpp"
 #include "serve/fleet.hpp"
-#include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "util/cli.hpp"
 #include "workload/mix.hpp"
@@ -143,8 +142,10 @@ Point single_point(const std::string& name, std::uint32_t requests,
   return timed_point(
       name, requests, 1,
       [&](Point& p) {
-        serve::ServingSim sim(cfg);
-        const serve::FleetMetrics m = sim.run();
+        const serve::FleetMetrics m =
+            serve::FleetSim(serve::FleetConfig::homogeneous(cfg, 1))
+                .run()
+                .fleet;
         p.completed = m.completed + m.rejected;
         p.sim_makespan_s = m.duration_s;
         p.events = m.engine_events;

@@ -58,7 +58,6 @@
 #include "serve/cli_flags.hpp"
 #include "serve/fleet.hpp"
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/mix.hpp"
@@ -123,9 +122,7 @@ void print_usage() {
       "the pre-fleet, pre-paging sweep byte for byte.\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace looplynx;
   const util::Cli cli(argc, argv);
   if (cli.has("help")) {
@@ -273,43 +270,14 @@ int main(int argc, char** argv) {
         cfg.traffic.arrival_rate_per_s = rate;
         cfg.traffic.seed = seed;
         cfg.scheduler.max_batch = batch;
-        cfg.scheduler.max_tokens_per_iter = opts.chunk_tokens;
-        cfg.scheduler.policy = opts.policy;
-        cfg.scheduler.preempt = opts.preempt;
-        cfg.kv_block_tokens = opts.kv_block_tokens;
         cfg.kv_budget_bytes_per_node = kv_budget_mb << 20;
-        cfg.prefix_cache = opts.prefix_cache;
-        cfg.kv_swap = opts.kv_swap;
-        serve::FleetMetrics m;
-        double imbalance = 0, ttft_spread = 0;
-        double mean_live = 0, replica_s = 0;
-        std::size_t scale_events = 0;
         if (opts.observed()) {
-          obs.emplace(opts.fleet() ? opts.fleet_width() : 1,
-                      arch.frequency_hz);
+          obs.emplace(opts.fleet_width(), arch.frequency_hz);
         }
-        serve::Observer* const point_obs = obs ? &*obs : nullptr;
-        if (opts.fleet()) {
-          serve::FleetConfig fleet_cfg = serve::FleetConfig::homogeneous(
-              cfg, opts.fleet_width(), opts.balancer);
-          fleet_cfg.autoscale = opts.autoscale;
-          if (opts.disaggregated()) {
-            fleet_cfg.roles = opts.roles;
-            // GB/s (decimal) -> bytes per fleet-clock cycle.
-            fleet_cfg.kv_link.bytes_per_cycle =
-                opts.kv_link_gbps * 1e9 / arch.frequency_hz;
-          }
-          serve::FleetResult fr =
-              serve::FleetSim(fleet_cfg, costs).run(point_obs);
-          imbalance = fr.load_imbalance;
-          ttft_spread = fr.ttft_p99_spread_ms;
-          mean_live = fr.mean_live_replicas;
-          replica_s = fr.replica_seconds;
-          scale_events = fr.scale_events.size();
-          m = std::move(fr.fleet);
-        } else {
-          m = serve::ServingSim(cfg, costs).run(point_obs);
-        }
+        const serve::FleetResult fr =
+            serve::FleetSim(serve::build_fleet_config(opts, cfg), costs)
+                .run(obs ? &*obs : nullptr);
+        const serve::FleetMetrics& m = fr.fleet;
         std::vector<std::string> row = {
             mix.name, util::fmt_fixed(rate, 0),
             util::fmt_int(batch),
@@ -333,8 +301,8 @@ int main(int argc, char** argv) {
           row.push_back(util::fmt_fixed(m.saved_prefill_ms, 1));
         }
         if (opts.fleet()) {
-          row.push_back(util::fmt_fixed(imbalance, 2));
-          row.push_back(util::fmt_fixed(ttft_spread, 1));
+          row.push_back(util::fmt_fixed(fr.load_imbalance, 2));
+          row.push_back(util::fmt_fixed(fr.ttft_p99_spread_ms, 1));
           row.push_back(util::fmt_fixed(m.queue_wait_ms.p50, 1));
           row.push_back(util::fmt_fixed(m.queue_wait_ms.p99, 1));
           row.push_back(util::fmt_fixed(m.inter_token_gap_ms.p50, 2));
@@ -348,9 +316,10 @@ int main(int argc, char** argv) {
               util::fmt_int(static_cast<long long>(m.work_steals)));
         }
         if (opts.autoscale.enabled) {
-          row.push_back(util::fmt_fixed(mean_live, 2));
-          row.push_back(util::fmt_fixed(replica_s, 2));
-          row.push_back(util::fmt_int(static_cast<long long>(scale_events)));
+          row.push_back(util::fmt_fixed(fr.mean_live_replicas, 2));
+          row.push_back(util::fmt_fixed(fr.replica_seconds, 2));
+          row.push_back(
+              util::fmt_int(static_cast<long long>(fr.scale_events.size())));
         }
         t.add_row(row);
       }
@@ -440,4 +409,16 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    // A rejected flag or config is a usage error, not a crash.
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -36,6 +36,7 @@
 //                         [--trace-out=PATH] [--metrics-out=PATH] [--help]
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 
 #include "core/arch_config.hpp"
 #include "model/config.hpp"
@@ -43,7 +44,6 @@
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "workload/mix.hpp"
 
@@ -92,9 +92,7 @@ void print_usage() {
       "Flags accept --key=value and --key value forms.\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace looplynx;
   const util::Cli cli(argc, argv);
   if (cli.has("help")) {
@@ -114,12 +112,6 @@ int main(int argc, char** argv) {
   cfg.traffic.seed = static_cast<std::uint64_t>(cli.get_int_or("seed", 7));
   cfg.scheduler.max_batch =
       static_cast<std::uint32_t>(cli.get_int_or("batch", 8));
-  cfg.scheduler.policy = opts.policy;
-  cfg.scheduler.max_tokens_per_iter = opts.chunk_tokens;
-  cfg.scheduler.preempt = opts.preempt;
-  cfg.kv_block_tokens = opts.kv_block_tokens;
-  cfg.prefix_cache = opts.prefix_cache;
-  cfg.kv_swap = opts.kv_swap;
   // Shrink the KV budget so roughly 8 average requests fit at once: the
   // scheduler demonstrably interleaves 8+ concurrent streams, while the
   // stragglers beyond that back up in the queue on KV slots — the
@@ -133,26 +125,16 @@ int main(int argc, char** argv) {
   // Unset export flags never construct an observer, so the default run
   // stays byte-identical to an unobserved binary.
   std::optional<serve::Observer> obs;
-  if (opts.observed()) {
-    obs.emplace(opts.fleet() ? opts.fleet_width() : 1,
-                cfg.arch.frequency_hz);
-  }
-  serve::Observer* const obs_ptr = obs ? &*obs : nullptr;
+  if (opts.observed()) obs.emplace(opts.fleet_width(), cfg.arch.frequency_hz);
 
-  serve::FleetMetrics m;
+  const serve::FleetResult fr =
+      serve::FleetSim(serve::build_fleet_config(opts, cfg))
+          .run(obs ? &*obs : nullptr);
+  const serve::FleetMetrics& m = fr.fleet;
   const std::string mix_title =
       "Continuous batching, " + cfg.traffic.mix.name + " mix, batch " +
       std::to_string(cfg.scheduler.max_batch);
   if (opts.fleet()) {
-    serve::FleetConfig fleet_cfg = serve::FleetConfig::homogeneous(
-        cfg, opts.fleet_width(), opts.balancer);
-    fleet_cfg.autoscale = opts.autoscale;
-    if (opts.disaggregated()) {
-      fleet_cfg.roles = opts.roles;
-      // GB/s (decimal) -> bytes per fleet-clock cycle.
-      fleet_cfg.kv_link.bytes_per_cycle =
-          opts.kv_link_gbps * 1e9 / cfg.arch.frequency_hz;
-    }
     // Per-tier bounds print as comma lists (empty lists = the per-tier
     // defaults); the symmetric scalars keep the legacy spelling.
     const auto join = [](const std::vector<std::uint32_t>& v,
@@ -160,7 +142,8 @@ int main(int argc, char** argv) {
       if (v.empty()) return fallback;
       std::string s;
       for (std::size_t i = 0; i < v.size(); ++i) {
-        s += (i ? "," : "") + std::to_string(v[i]);
+        if (i > 0) s += ",";
+        s += std::to_string(v[i]);
       }
       return s;
     };
@@ -178,7 +161,6 @@ int main(int argc, char** argv) {
             : mix_title + ", " + std::to_string(opts.replicas) +
                   " replicas, " +
                   serve::balancer_policy_name(opts.balancer);
-    serve::FleetResult fr = serve::FleetSim(fleet_cfg).run(obs_ptr);
     fr.to_table(fleet_title).render(std::cout);
     std::cout << "\nLoad imbalance (max/mean routed) "
               << util::fmt_fixed(fr.load_imbalance, 2)
@@ -197,24 +179,22 @@ int main(int argc, char** argv) {
                        3)
                 << " for a static max-width fleet.\n";
     }
-    m = std::move(fr.fleet);
   } else {
-    m = serve::ServingSim(cfg).run(obs_ptr);
     m.to_table(mix_title).render(std::cout);
   }
 
-  if (cfg.scheduler.max_tokens_per_iter > 0) {
+  if (opts.chunk_tokens > 0) {
     std::cout << "\n" << m.chunked_prompts << " prompt(s) were split into "
               << "chunks (" << m.prefill_chunk_steps
-              << " chunk steps; token budget "
-              << cfg.scheduler.max_tokens_per_iter << "/iteration).\n";
+              << " chunk steps; token budget " << opts.chunk_tokens
+              << "/iteration).\n";
   }
   std::cout << "\n" << m.peak_in_flight
             << " requests were in flight concurrently; KV backpressure "
                "stalled admission "
             << m.kv_stall_events << " time(s) (peak queue depth "
             << m.peak_queue_depth << ").\n";
-  if (cfg.scheduler.preempt != serve::PreemptPolicy::kNone) {
+  if (opts.preempt != serve::PreemptPolicy::kNone) {
     std::cout << "Paged KV (" << m.kv_block_tokens << " tok/block): "
               << m.preemptions << " preemption(s) recomputed "
               << m.recompute_tokens << " token(s) of dropped KV.\n";
@@ -237,8 +217,7 @@ int main(int argc, char** argv) {
   // the in-flight floor) scales down with the replica count.
   const bool pressured =
       m.kv_stall_events > 0 ||
-      (cfg.scheduler.preempt != serve::PreemptPolicy::kNone &&
-       m.preemptions > 0);
+      (opts.preempt != serve::PreemptPolicy::kNone && m.preemptions > 0);
   if (!pressured && !opts.fleet()) {
     std::cout << "(increase --rate or --requests to exercise backpressure)\n";
   }
@@ -256,4 +235,16 @@ int main(int argc, char** argv) {
                   (opts.fleet() ? m.completed == cfg.traffic.num_requests
                                 : m.peak_in_flight >= 8 && pressured);
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    // A rejected flag or config is a usage error, not a crash.
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "workload/scenario.hpp"
 
 namespace looplynx::host {
@@ -128,15 +127,11 @@ std::vector<ServeResult> Host::run_flush(
                static_cast<std::uint32_t>(r.prompt_ids.size()),
                decode_steps(r))});
   }
-  serve::FleetMetrics metrics;
-  if (replicas >= 2 || autoscale != nullptr) {
-    serve::FleetConfig fleet_cfg =
-        serve::FleetConfig::homogeneous(cfg, replicas, balancer);
-    if (autoscale != nullptr) fleet_cfg.autoscale = *autoscale;
-    metrics = serve::FleetSim(fleet_cfg, costs()).run(observer).fleet;
-  } else {
-    metrics = serve::ServingSim(cfg, costs()).run(observer);
-  }
+  serve::FleetConfig fleet_cfg = serve::FleetConfig::homogeneous(
+      cfg, std::max<std::uint32_t>(replicas, 1), balancer);
+  if (autoscale != nullptr) fleet_cfg.autoscale = *autoscale;
+  const serve::FleetMetrics metrics =
+      serve::FleetSim(fleet_cfg, costs()).run(observer).fleet;
   if (metrics.requests.size() != results.size()) {
     throw std::logic_error("serve layer lost request records");
   }

@@ -5,7 +5,7 @@
 // (DESIGN.md §3): token *data* comes from core::FunctionalSystem, request
 // *timing* comes from the serve-layer engine. The host no longer owns a
 // private timing loop — it submits realized request shapes into the
-// continuous-batching serve::ServingSim (DESIGN.md §4), so a batch of
+// continuous-batching serve::FleetSim (DESIGN.md §4-§5), so a batch of
 // submitted requests shares the fleet's scheduler, paged KV-block
 // accounting and host-sync amortization exactly like open traffic would.
 //
@@ -104,11 +104,10 @@ class Host {
                      const std::function<void(std::uint32_t)>& on_token = {});
 
   /// Times all submitted requests through one continuous-batching fleet
-  /// (all arriving at cycle 0) and returns their results in submit order.
-  /// With `replicas` >= 2 the batch is sharded across that many copies of
-  /// the deployment behind `balancer` (serve::FleetSim); each result's
-  /// `replica` records where it ran. replicas == 1 is the single-replica
-  /// engine, byte-identical to the pre-fleet behavior.
+  /// (serve::FleetSim, all arriving at cycle 0) and returns their results
+  /// in submit order. With `replicas` >= 2 the batch is sharded across
+  /// that many copies of the deployment behind `balancer`; each result's
+  /// `replica` records where it ran. replicas <= 1 runs one deployment.
   std::vector<ServeResult> flush(
       const serve::SchedulerConfig& scheduler = {},
       std::uint32_t replicas = 1,

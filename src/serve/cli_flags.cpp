@@ -1,5 +1,6 @@
 #include "serve/cli_flags.hpp"
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -7,6 +8,17 @@
 namespace looplynx::serve {
 
 namespace {
+
+/// Narrows a parsed (already range-checked from below) flag value to the
+/// 32-bit field it configures: a value that would wrap is rejected rather
+/// than silently running as its low bits.
+std::uint32_t to_u32(const std::string& flag, long long value) {
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("--" + flag + "=" + std::to_string(value) +
+                                " does not fit in 32 bits");
+  }
+  return static_cast<std::uint32_t>(value);
+}
 
 /// Splits a --min-replicas/--max-replicas value into per-entry counts: a
 /// bare integer is a one-entry list (the legacy scalar form), a comma
@@ -36,7 +48,7 @@ std::vector<std::uint32_t> parse_bounds_list(const std::string& flag,
     if (value < 1) {
       throw std::invalid_argument("--" + flag + " entries must be >= 1");
     }
-    out.push_back(static_cast<std::uint32_t>(value));
+    out.push_back(to_u32(flag, value));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -62,7 +74,7 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
         "prompts, so a token budget would silently degrade into a "
         "batch-member cap");
   }
-  opts.chunk_tokens = static_cast<std::uint32_t>(chunk);
+  opts.chunk_tokens = to_u32("chunk-tokens", chunk);
 
   opts.preempt = parse_preempt_policy(cli.get_or("preempt", "none"));
 
@@ -72,15 +84,15 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
         "--kv-block-tokens must be >= 1 (1 = token-granular accounting, "
         "bit-identical to the pre-paging whole-footprint reservation)");
   }
-  opts.kv_block_tokens = static_cast<std::uint32_t>(block_tokens);
+  opts.kv_block_tokens = to_u32("kv-block-tokens", block_tokens);
 
   const long long replicas = cli.get_int_or("replicas", 1);
   if (replicas < 1) {
     throw std::invalid_argument(
-        "--replicas must be >= 1 (1 = the single-replica engine, "
-        "byte-identical to the pre-fleet output)");
+        "--replicas must be >= 1 (1 = one replica, byte-identical to the "
+        "pre-fleet output)");
   }
-  opts.replicas = static_cast<std::uint32_t>(replicas);
+  opts.replicas = to_u32("replicas", replicas);
 
   if (cli.has("autoscale")) {
     if (cli.has("replicas")) {
@@ -221,6 +233,26 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
     }
   }
   return opts;
+}
+
+FleetConfig build_fleet_config(const SchedulerCliOptions& opts,
+                               ServingConfig base) {
+  base.scheduler.policy = opts.policy;
+  base.scheduler.max_tokens_per_iter = opts.chunk_tokens;
+  base.scheduler.preempt = opts.preempt;
+  base.kv_block_tokens = opts.kv_block_tokens;
+  base.prefix_cache = opts.prefix_cache;
+  base.kv_swap = opts.kv_swap;
+  FleetConfig fleet =
+      FleetConfig::homogeneous(base, opts.fleet_width(), opts.balancer);
+  fleet.autoscale = opts.autoscale;
+  fleet.roles = opts.roles;
+  if (opts.disaggregated()) {
+    // GB/s (decimal) -> bytes per fleet-clock cycle.
+    fleet.kv_link.bytes_per_cycle =
+        opts.kv_link_gbps * 1e9 / base.arch.frequency_hz;
+  }
+  return fleet;
 }
 
 }  // namespace looplynx::serve

@@ -3,9 +3,9 @@
 // --balancer, --prefix-cache, --kv-swap, --roles, --kv-link-gbps,
 // --autoscale and its
 // --min-replicas/--max-replicas/--scale-interval-ms companions) for the
-// CLI surfaces (bench/serve_load,
-// examples/continuous_batching, examples/autoscale_serving), so the
-// binaries' flag semantics cannot drift and invalid combinations are
+// CLI surfaces (bench/serve_load, examples/continuous_batching), plus the
+// one builder that turns the parsed flags into the run's FleetConfig, so
+// the binaries' flag semantics cannot drift and invalid combinations are
 // rejected loudly instead of silently doing something else.
 //
 // Invariants the defaults encode:
@@ -30,8 +30,8 @@ struct SchedulerCliOptions {
   PreemptPolicy preempt = PreemptPolicy::kNone;
   /// KvBlockManager paging granularity (1 = token-granular legacy).
   std::uint32_t kv_block_tokens = 1;
-  /// Fleet width: 1 = the single-replica ServingSim path (legacy output);
-  /// >= 2 = a FleetSim of identical replicas behind `balancer`. Mutually
+  /// Fleet width: 1 = one replica (the legacy output, no balance
+  /// columns); >= 2 = identical replicas behind `balancer`. Mutually
   /// exclusive with --autoscale (which sizes the fleet itself).
   std::uint32_t replicas = 1;
   BalancerPolicy balancer = BalancerPolicy::kRoundRobin;
@@ -108,7 +108,8 @@ struct SchedulerCliOptions {
 ///    whole-prompt policies never split prompts, so a budget would
 ///    silently degrade into a batch-member cap);
 ///  - --kv-block-tokens must be >= 1 (1 = token-granular);
-///  - --replicas must be >= 1 (1 = the legacy single-replica path);
+///  - every integer flag must be a whole number that fits its field;
+///  - --replicas must be >= 1 (1 = one replica, the legacy output);
 ///  - an explicit --balancer requires --replicas >= 2 or --autoscale
 ///    (balancing a single replica is a routing no-op, so the flag would
 ///    silently do nothing);
@@ -139,5 +140,14 @@ struct SchedulerCliOptions {
 SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
                                         const std::string& default_policy =
                                             "prefill");
+
+/// The run the flags describe: `base` (arch, model, traffic, batch size,
+/// KV budget — whatever the surface fixes itself) with the scheduler, KV
+/// paging and prefix-cache flags applied, as opts.fleet_width() identical
+/// replicas behind the chosen balancer, autoscaler, roles and KV-link
+/// rate. The one place a parsed flag reaches a FleetConfig, so a surface
+/// cannot parse a flag and then drop it.
+FleetConfig build_fleet_config(const SchedulerCliOptions& opts,
+                               ServingConfig base);
 
 }  // namespace looplynx::serve

@@ -453,7 +453,7 @@ struct FleetRun {
 
   /// One routing decision: snapshot every replica's load, ask the
   /// balancer. Pure bookkeeping — no engine events, so a 1-replica fleet
-  /// replays ServingSim's exact event sequence. Replicas outside their
+  /// runs exactly its replica's event sequence. Replicas outside their
   /// tier's live prefix are masked: a draining replica keeps its admitted
   /// work but receives nothing new. On a disaggregated fleet decode-role
   /// replicas are masked too — they receive work only by KV migration,
@@ -641,6 +641,132 @@ std::uint64_t occupied_cycles(
   return total;
 }
 
+/// The multi-replica fleet rollup's first half, read from the replicas'
+/// live state BEFORE finalize_metrics moves each one's sample vectors into
+/// its own summary: latency percentiles over every replica's pooled
+/// samples, summed counters, the fleet-wide in-flight peak.
+FleetMetrics pool_samples(FleetRun& run, const FleetConfig& cfg,
+                          sim::Cycles makespan) {
+  const core::ArchConfig& arch = cfg.replicas.front().arch;
+  const double duration_s = static_cast<double>(makespan) / arch.frequency_hz;
+  std::vector<double> token;
+  std::vector<sim::Cycles> ttft, e2e, queue_wait, gap;
+  std::uint64_t good = 0;
+  sim::Cycles busy = 0, decode_stall = 0, recompute = 0;
+  FleetMetrics m;
+  double batch_members = 0;
+  for (const auto& r : run.replicas) {
+    append(ttft, r->ttft_cycles);
+    append(token, r->token_ms);
+    append(e2e, r->e2e_cycles);
+    append(queue_wait, r->queue_wait_cycles);
+    append(gap, r->gap_cycles);
+    good += r->good;
+    busy += r->busy_cycles;
+    decode_stall += r->decode_stall_cycles;
+    recompute += r->recompute_cycles;
+    m.completed += r->completed;
+    m.rejected += r->rejected;
+    m.decode_tokens += r->decode_tokens;
+    m.total_tokens += r->total_tokens;
+    m.iterations += r->sched.iteration_count();
+    // Keep the multiply-back through mean_batch_size(): the quotient and
+    // product round-trip bit-identically, preserving the pooled mean.
+    batch_members += r->sched.mean_batch_size() *
+                     static_cast<double>(r->sched.iteration_count());
+    m.prefill_chunk_steps += r->prefill_chunk_steps;
+    m.chunked_prompts += r->chunked_prompts;
+    m.decode_stall_iterations += r->decode_stall_iterations;
+    m.peak_queue_depth = std::max(m.peak_queue_depth, r->queue.peak_depth());
+    m.kv_peak_occupancy =
+        std::max(m.kv_peak_occupancy, r->kv.peak_occupancy());
+    m.kv_stall_events += r->kv.stall_events();
+    m.kv_over_release_events += r->kv.over_release_events();
+    m.kv_capacity_blocks += r->kv.capacity_blocks();
+    m.kv_peak_used_blocks += r->kv.peak_used_blocks();
+    m.kv_peak_frag_tokens += r->kv.peak_frag_tokens();
+    m.preemptions += r->preemptions;
+    m.recompute_tokens += r->recompute_tokens;
+    // kv_blocks_in_use_at_end is summed by add_finalized instead:
+    // finalize_metrics drains each replica's prefix cache first, so
+    // reading used_blocks() here would count retained cache blocks as
+    // leaks.
+  }
+  m.offered = run.shared.injected;
+  m.slo_good = good;
+  m.slo = cfg.replicas.front().slo;
+  m.duration_s = duration_s;
+  if (duration_s > 0) {
+    m.throughput_req_s = static_cast<double>(m.completed) / duration_s;
+    m.throughput_tok_s = static_cast<double>(m.total_tokens) / duration_s;
+    m.decode_tok_s = static_cast<double>(m.decode_tokens) / duration_s;
+    m.goodput_req_s = static_cast<double>(good) / duration_s;
+    m.busy_fraction =
+        static_cast<double>(busy) /
+        (static_cast<double>(makespan) *
+         static_cast<double>(run.replicas.size()));
+  }
+  m.ttft_ms = detail::cycle_summary_ms(std::move(ttft), arch);
+  m.token_ms = util::percentile_summary(std::move(token));
+  m.e2e_ms = detail::cycle_summary_ms(std::move(e2e), arch);
+  m.queue_wait_ms = detail::cycle_summary_ms(std::move(queue_wait), arch);
+  m.inter_token_gap_ms = detail::cycle_summary_ms(std::move(gap), arch);
+  if (m.iterations > 0) {
+    m.mean_batch_size = batch_members / static_cast<double>(m.iterations);
+  }
+  m.decode_stall_ms = arch.cycles_to_ms(decode_stall);
+  m.recompute_ms = arch.cycles_to_ms(recompute);
+  m.peak_in_flight = run.shared.peak_active;
+  m.preempt = cfg.replicas.front().scheduler.preempt;
+  m.kv_block_tokens = run.replicas.front()->kv.block_tokens();
+  return m;
+}
+
+/// The rollup's second half, summed from the finalized per-replica
+/// metrics: request records (re-sorted by id), prefix-cache and migration
+/// counters, and the end-of-run leak gauge.
+void add_finalized(FleetMetrics& m,
+                   const std::vector<FleetMetrics>& replicas) {
+  for (const FleetMetrics& rm : replicas) {
+    m.requests.insert(m.requests.end(), rm.requests.begin(),
+                      rm.requests.end());
+    m.kv_blocks_in_use_at_end += rm.kv_blocks_in_use_at_end;
+    m.prefix_cache = m.prefix_cache || rm.prefix_cache;
+    m.kv_swap = m.kv_swap || rm.kv_swap;
+    m.cache_lookups += rm.cache_lookups;
+    m.cache_lookup_tokens += rm.cache_lookup_tokens;
+    m.cache_hit_requests += rm.cache_hit_requests;
+    m.cache_hit_tokens += rm.cache_hit_tokens;
+    m.saved_prefill_cycles += rm.saved_prefill_cycles;
+    m.saved_prefill_ms += rm.saved_prefill_ms;
+    m.cache_insert_blocks += rm.cache_insert_blocks;
+    m.cache_evict_blocks += rm.cache_evict_blocks;
+    m.cache_cow_events += rm.cache_cow_events;
+    m.cache_dedup_blocks += rm.cache_dedup_blocks;
+    m.cache_swap_out_blocks += rm.cache_swap_out_blocks;
+    m.cache_swap_in_blocks += rm.cache_swap_in_blocks;
+    m.cache_swap_ms += rm.cache_swap_ms;
+    m.cache_blocks_at_end += rm.cache_blocks_at_end;
+    m.prefill_cycles += rm.prefill_cycles;
+    m.kv_migrations += rm.kv_migrations;
+    m.kv_migrated_blocks += rm.kv_migrated_blocks;
+    m.kv_migrate_wire_bytes += rm.kv_migrate_wire_bytes;
+    m.kv_migrate_ingest_ms += rm.kv_migrate_ingest_ms;
+    m.work_steals += rm.work_steals;
+    m.steal_wire_bytes += rm.steal_wire_bytes;
+    m.handoffs_in += rm.handoffs_in;
+    m.handoffs_out += rm.handoffs_out;
+  }
+  if (m.cache_lookup_tokens > 0) {
+    m.cache_hit_rate = static_cast<double>(m.cache_hit_tokens) /
+                       static_cast<double>(m.cache_lookup_tokens);
+  }
+  std::sort(m.requests.begin(), m.requests.end(),
+            [](const RequestRecord& a, const RequestRecord& b) {
+              return a.id < b.id;
+            });
+}
+
 }  // namespace
 
 FleetResult FleetSim::run() const { return run(nullptr); }
@@ -694,83 +820,13 @@ FleetResult FleetSim::run(Observer* observer) const {
   const std::size_t n = run.replicas.size();
   const double frequency = config_.replicas.front().arch.frequency_hz;
   const sim::Cycles makespan = run.engine.now();
-  const double duration_s = static_cast<double>(makespan) / frequency;
 
-  // Pool the per-request latency samples (and sum the counters) BEFORE
-  // finalize_metrics moves each replica's vectors into its own summary.
-  std::vector<double> token;
-  std::vector<sim::Cycles> ttft, e2e, queue_wait, gap;
-  std::uint64_t good = 0;
-  sim::Cycles busy = 0, decode_stall = 0, recompute = 0;
-  FleetMetrics& m = result.fleet;
-  double batch_members = 0;
-  for (const auto& r : run.replicas) {
-    append(ttft, r->ttft_cycles);
-    append(token, r->token_ms);
-    append(e2e, r->e2e_cycles);
-    append(queue_wait, r->queue_wait_cycles);
-    append(gap, r->gap_cycles);
-    good += r->good;
-    busy += r->busy_cycles;
-    decode_stall += r->decode_stall_cycles;
-    recompute += r->recompute_cycles;
-    m.completed += r->completed;
-    m.rejected += r->rejected;
-    m.decode_tokens += r->decode_tokens;
-    m.total_tokens += r->total_tokens;
-    m.iterations += r->sched.iteration_count();
-    // Keep the multiply-back through mean_batch_size(): the quotient and
-    // product round-trip bit-identically, preserving the pooled mean.
-    batch_members += r->sched.mean_batch_size() *
-                     static_cast<double>(r->sched.iteration_count());
-    m.prefill_chunk_steps += r->prefill_chunk_steps;
-    m.chunked_prompts += r->chunked_prompts;
-    m.decode_stall_iterations += r->decode_stall_iterations;
-    m.peak_queue_depth = std::max(m.peak_queue_depth, r->queue.peak_depth());
-    m.kv_peak_occupancy =
-        std::max(m.kv_peak_occupancy, r->kv.peak_occupancy());
-    m.kv_stall_events += r->kv.stall_events();
-    m.kv_over_release_events += r->kv.over_release_events();
-    m.kv_capacity_blocks += r->kv.capacity_blocks();
-    m.kv_peak_used_blocks += r->kv.peak_used_blocks();
-    m.kv_peak_frag_tokens += r->kv.peak_frag_tokens();
-    m.preemptions += r->preemptions;
-    m.recompute_tokens += r->recompute_tokens;
-    // kv_blocks_in_use_at_end is summed from the finalized per-replica
-    // metrics below: finalize_metrics drains each replica's prefix cache
-    // first, so reading used_blocks() here would count retained cache
-    // blocks as leaks.
-    result.routed.push_back(r->routed);
-  }
-  m.offered = run.shared.injected;
-  m.engine_events = run.engine.events_processed();
-  m.slo_good = good;
-  m.slo = config_.replicas.front().slo;
-  m.duration_s = duration_s;
-  if (duration_s > 0) {
-    m.throughput_req_s = static_cast<double>(m.completed) / duration_s;
-    m.throughput_tok_s = static_cast<double>(m.total_tokens) / duration_s;
-    m.decode_tok_s = static_cast<double>(m.decode_tokens) / duration_s;
-    m.goodput_req_s = static_cast<double>(good) / duration_s;
-    m.busy_fraction =
-        static_cast<double>(busy) /
-        (static_cast<double>(makespan) * static_cast<double>(n));
-  }
-  const core::ArchConfig& arch = config_.replicas.front().arch;
-  m.ttft_ms = detail::cycle_summary_ms(std::move(ttft), arch);
-  m.token_ms = util::percentile_summary(std::move(token));
-  m.e2e_ms = detail::cycle_summary_ms(std::move(e2e), arch);
-  m.queue_wait_ms = detail::cycle_summary_ms(std::move(queue_wait), arch);
-  m.inter_token_gap_ms = detail::cycle_summary_ms(std::move(gap), arch);
-  if (m.iterations > 0) {
-    m.mean_batch_size = batch_members / static_cast<double>(m.iterations);
-  }
-  m.decode_stall_ms =
-      config_.replicas.front().arch.cycles_to_ms(decode_stall);
-  m.recompute_ms = config_.replicas.front().arch.cycles_to_ms(recompute);
-  m.peak_in_flight = run.shared.peak_active;
-  m.preempt = config_.replicas.front().scheduler.preempt;
-  m.kv_block_tokens = run.replicas.front()->kv.block_tokens();
+  result.routed.reserve(n);
+  for (const auto& r : run.replicas) result.routed.push_back(r->routed);
+  // A lone replica's finalized metrics already are the fleet rollup: reuse
+  // them instead of pooling (and re-sorting) every latency sample again.
+  const bool pooled = n > 1;
+  if (pooled) result.fleet = pool_samples(run, config_, makespan);
 
   result.disaggregated = config_.disaggregated();
   result.roles = config_.roles;
@@ -835,44 +891,12 @@ FleetResult FleetSim::run(Observer* observer) const {
     result.replicas.push_back(detail::finalize_metrics(*r));
   }
   if (observer != nullptr) observer->finalize(makespan);
-  for (const FleetMetrics& rm : result.replicas) {
-    m.requests.insert(m.requests.end(), rm.requests.begin(),
-                      rm.requests.end());
-    m.kv_blocks_in_use_at_end += rm.kv_blocks_in_use_at_end;
-    m.prefix_cache = m.prefix_cache || rm.prefix_cache;
-    m.kv_swap = m.kv_swap || rm.kv_swap;
-    m.cache_lookups += rm.cache_lookups;
-    m.cache_lookup_tokens += rm.cache_lookup_tokens;
-    m.cache_hit_requests += rm.cache_hit_requests;
-    m.cache_hit_tokens += rm.cache_hit_tokens;
-    m.saved_prefill_cycles += rm.saved_prefill_cycles;
-    m.saved_prefill_ms += rm.saved_prefill_ms;
-    m.cache_insert_blocks += rm.cache_insert_blocks;
-    m.cache_evict_blocks += rm.cache_evict_blocks;
-    m.cache_cow_events += rm.cache_cow_events;
-    m.cache_dedup_blocks += rm.cache_dedup_blocks;
-    m.cache_swap_out_blocks += rm.cache_swap_out_blocks;
-    m.cache_swap_in_blocks += rm.cache_swap_in_blocks;
-    m.cache_swap_ms += rm.cache_swap_ms;
-    m.cache_blocks_at_end += rm.cache_blocks_at_end;
-    m.prefill_cycles += rm.prefill_cycles;
-    m.kv_migrations += rm.kv_migrations;
-    m.kv_migrated_blocks += rm.kv_migrated_blocks;
-    m.kv_migrate_wire_bytes += rm.kv_migrate_wire_bytes;
-    m.kv_migrate_ingest_ms += rm.kv_migrate_ingest_ms;
-    m.work_steals += rm.work_steals;
-    m.steal_wire_bytes += rm.steal_wire_bytes;
-    m.handoffs_in += rm.handoffs_in;
-    m.handoffs_out += rm.handoffs_out;
+  if (pooled) {
+    add_finalized(result.fleet, result.replicas);
+  } else {
+    result.fleet = result.replicas.front();
   }
-  if (m.cache_lookup_tokens > 0) {
-    m.cache_hit_rate = static_cast<double>(m.cache_hit_tokens) /
-                       static_cast<double>(m.cache_lookup_tokens);
-  }
-  std::sort(m.requests.begin(), m.requests.end(),
-            [](const RequestRecord& a, const RequestRecord& b) {
-              return a.id < b.id;
-            });
+  result.fleet.engine_events = run.engine.events_processed();
 
   // Load imbalance over the routing-eligible replicas only: on a
   // disaggregated fleet decode replicas receive zero fresh arrivals by

@@ -1,14 +1,14 @@
-// Multi-deployment serving fleet: N replica deployments behind a
-// load balancer, fed by one shared traffic stream.
+// Serving harness: N replica deployments behind a load balancer, fed by
+// one shared traffic stream. A single deployment is the 1-replica fleet.
 //
-// FleetSim is the horizontal scale axis on top of ServingSim's vertical
-// one: it owns N independent replicas (each a full ServingConfig — its own
-// scheduler, KV budget, even a different ArchConfig) on ONE shared
-// sim::Engine, and a LoadBalancer that routes every arrival of a single
-// TrafficGen stream to a replica the moment it lands. Replicas never share
-// KV or pipeline state — in a symmetric fleet a request lives and dies on
-// the replica it was routed to, so each replica's scheduling, paging and
-// preemption behavior is exactly ServingSim's. Disaggregated fleets
+// Each replica is a full ServingConfig — its own scheduler, KV budget,
+// even a different ArchConfig — and all of them run on ONE shared
+// sim::Engine. A TrafficGen injects requests (each arrival is one engine
+// callback) and a LoadBalancer routes every arrival to a replica the
+// moment it lands. Each replica's admission, paged KV, preemption and
+// iteration-level continuous batching live in serve/replica.hpp. Replicas
+// never share KV or pipeline state — in a symmetric fleet a request lives
+// and dies on the replica it was routed to. Disaggregated fleets
 // (FleetConfig::roles) relax exactly one thing: a finished prompt's KV can
 // move, whole, from a prefill replica to a decode replica over a timed
 // net::RingFabric (and an idle replica can steal queued work the same
@@ -18,31 +18,66 @@
 //  - Determinism: a FleetConfig fully determines FleetResult. All
 //    randomness flows through the one seeded TrafficGen, the engine
 //    resolves same-cycle events in scheduling order, and every balancer
-//    tie-break is by lowest replica index — byte-identical sweeps, same as
-//    the single-replica engine.
-//  - A 1-replica fleet is bit-identical to ServingSim on the same
-//    ServingConfig (pinned in tests/test_fleet.cpp): both harnesses run
-//    the same replica machinery (serve/replica.hpp) and a balancer over
-//    one replica makes no extra engine events.
+//    tie-break is by lowest replica index — byte-identical sweeps.
+//  - A 1-replica fleet's rollup IS its replica's metrics (plus
+//    engine_events), and routing over one replica makes no engine events
+//    (pinned in tests/test_fleet.cpp).
+//  - Livelock-freedom: under kRecomputeYoungest every admitted request
+//    completes (the argument is at scheduler_proc in serve/replica.cpp).
 //  - All replicas must share one clock frequency (arch.frequency_hz): the
 //    engine has a single cycle-granular clock. Heterogeneity means node
 //    counts, KV budgets and scheduler knobs — not clock domains.
 //
-// Architecture notes: DESIGN.md §5.
+// Architecture notes: DESIGN.md §4 (one replica), §5 (fleets).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
 #include "hw/link.hpp"
+#include "model/config.hpp"
 #include "serve/autoscaler.hpp"
 #include "serve/metrics.hpp"
-#include "serve/serving_sim.hpp"
+#include "serve/scheduler.hpp"
+#include "serve/traffic.hpp"
 #include "util/table.hpp"
 
 namespace looplynx::serve {
+
+class Observer;  // serve/observe.hpp
+
+struct ServingConfig {
+  core::ArchConfig arch = core::ArchConfig::two_node();
+  model::ModelConfig model = model::gpt2_medium();
+  SchedulerConfig scheduler;
+  TrafficConfig traffic;
+  /// 0 selects the architecture default (kv_channels x 256 MiB per node).
+  std::uint64_t kv_budget_bytes_per_node = 0;
+  /// Paged-KV block granularity in tokens (KvBlockManager). 1 ==
+  /// token-granular, which with SchedulerConfig::preempt == kNone is
+  /// bit-identical to the pre-paging whole-footprint reservation.
+  std::uint32_t kv_block_tokens = 1;
+  /// Probe stride for the StepCostModel (1 = exact per-position costs).
+  std::uint32_t cost_probe_stride = 64;
+  /// Content-addressed prefix caching (serve/kv_block.hpp PrefixCache):
+  /// admission skips prompt tokens whose KV is already cached, completed
+  /// prompt blocks are published for later requests, and refcount-zero
+  /// blocks stay cached-idle until pool pressure reclaims them. false (the
+  /// default) constructs no cache at all — the run is byte-identical to a
+  /// build without the feature.
+  bool prefix_cache = false;
+  /// Swap-to-host eviction tier: a reclaimed cache block whose prefill
+  /// rebuild costs more than a DMA round-trip moves to host DRAM instead
+  /// of being discarded, and is restored (transfer priced into the next
+  /// iteration's `kv-swap` span) when hit again. Requires prefix_cache.
+  bool kv_swap = false;
+  SloConfig slo;
+  /// Fill FleetMetrics::requests with per-request outcomes.
+  bool keep_request_records = false;
+};
 
 /// Replica specialization in a disaggregated fleet (FleetConfig::roles).
 /// General replicas behave exactly like the symmetric fleets of PR 4-8.
@@ -186,7 +221,8 @@ struct FleetResult {
   /// preemption counters sum. `preempt`/`kv_block_tokens` echo replica 0
   /// (display only — replicas may differ). `requests` pools every
   /// replica's records sorted by id (== fleet-wide injection order), each
-  /// carrying its `replica` index.
+  /// carrying its `replica` index. A 1-replica fleet's rollup is
+  /// `replicas[0]` itself, plus `engine_events`.
   FleetMetrics fleet;
 
   /// Arrivals the balancer routed to each replica (sums to fleet.offered).
@@ -275,7 +311,7 @@ class FleetSim {
   /// Reuses an existing cost model for every replica — sweep harnesses
   /// over homogeneous fleets should share one across points. All replicas
   /// must then really be priced by it (same arch + model), which this
-  /// constructor trusts the caller on, like ServingSim's equivalent.
+  /// constructor trusts the caller on.
   FleetSim(const FleetConfig& config, const core::StepCostModel& costs);
 
   const FleetConfig& config() const { return config_; }

@@ -100,9 +100,9 @@ struct FleetMetrics {
   /// Events the sim::Engine processed over the whole run: the simulator's
   /// own work count (scheduler wakes, arrivals, fabric and autoscaler
   /// events). Attaching an observer adds none, so an observed run counts
-  /// exactly as many as the same run unobserved. Set on single-replica
-  /// metrics and on FleetResult::fleet; a fleet's per-replica entries
-  /// leave it 0, since one engine serves every replica.
+  /// exactly as many as the same run unobserved. Set on FleetResult::fleet
+  /// only; the per-replica entries leave it 0, since one engine serves
+  /// every replica.
   std::uint64_t engine_events = 0;
   double mean_batch_size = 0;
   /// Prefill chunk steps executed (== completed prompts when unchunked).

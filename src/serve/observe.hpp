@@ -104,8 +104,8 @@ inline constexpr const char* kCategories[] = {
 };
 
 /// One run's observability state. Construct with the run's replica pool
-/// width and clock, attach via ServingSim::run(&obs) / FleetSim::run(&obs)
-/// (or host::Host::flush_observed), then export. Single-use: finalize()
+/// width and clock, attach via FleetSim::run(&obs) (or
+/// host::Host::flush_observed), then export. Single-use: finalize()
 /// runs once, after which the event log and breakdowns are frozen.
 class Observer {
  public:

@@ -1,19 +1,15 @@
-// One serving replica's engine room — the internal machinery shared by
-// ServingSim (a single replica on its own engine) and FleetSim (several
-// replicas on one shared engine behind a LoadBalancer).
+// One serving replica's engine room — the internal machinery FleetSim runs
+// once per replica, all of them on one shared engine behind a LoadBalancer.
 //
 // A Replica owns everything one deployment needs per run: the admission
 // queue, the paged KvBlockManager, the iteration scheduler, the request
 // storage and every progress counter FleetMetrics reports. It does NOT own
 // the sim::Engine or the TrafficGen — those belong to the harness
-// (ServingSim::run / FleetSim::run), because a fleet shares one clock and
-// one arrival stream across all replicas.
+// (FleetSim::run), because a fleet shares one clock and one arrival stream
+// across all replicas.
 //
-// This header is internal to src/serve/: the public entry points are
-// serving_sim.hpp and fleet.hpp. The split exists so the two harnesses
-// cannot drift — the scheduling loop, admission control and preemption
-// logic are one implementation, and a single-replica FleetSim run is
-// bit-identical to a ServingSim run (pinned in tests/test_fleet.cpp).
+// This header is internal to src/serve/: the public entry point is
+// fleet.hpp.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +25,6 @@
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
 #include "serve/scheduler.hpp"
-#include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -47,10 +42,9 @@ namespace looplynx::serve::detail {
 /// allocated from here so they are unique across the fleet and strictly
 /// increasing in injection order — the property the age-ordered preemption
 /// policy (oldest == lowest id) and the Host submit/flush record mapping
-/// both rely on. A single-replica run owns a private instance. The optional
-/// hooks below (TTFT window, observer) are bookkeeping only: every run
-/// steps its requests through the same scheduler-driven path, whichever
-/// of them are attached.
+/// both rely on. Each run owns one instance. The optional hooks below (TTFT
+/// window, observer) are bookkeeping only: every run steps its requests
+/// through the same scheduler-driven path, whichever of them are attached.
 struct FleetShared {
   std::uint32_t target = 0;     // injection budget: request_count()
   std::uint32_t injected = 0;   // requests created fleet-wide so far
@@ -336,8 +330,8 @@ sim::Task steal_proc(Replica& thief, Replica& victim, Request& r);
 void enqueue_request_event(void* replica, void* request);
 
 /// Builds this replica's FleetMetrics after engine.run() returned. Moves
-/// the latency sample vectors out of the replica — harnesses that pool
-/// samples fleet-wide must copy them first.
+/// the latency sample vectors out of the replica — a fleet that pools
+/// samples across replicas must copy them first.
 FleetMetrics finalize_metrics(Replica& f);
 
 /// Percentile summary of integer cycle-domain latency samples, reported in
@@ -349,14 +343,11 @@ FleetMetrics finalize_metrics(Replica& f);
 util::PercentileSummary cycle_summary_ms(std::vector<sim::Cycles> cycles,
                                          const core::ArchConfig& arch);
 
-/// Open-loop injector shared by both harnesses: replays the pre-generated
-/// arrival schedule, asking `route()` (signature `Replica&()`) for the
+/// Open-loop injector: replays the pre-generated arrival schedule, asking
+/// `route()` (signature `Replica&()`, FleetSim's LoadBalancer) for the
 /// target replica the moment each arrival lands, and enqueues through an
-/// enqueue_request_event callback. ServingSim routes every arrival to its
-/// lone replica; FleetSim's route() is the LoadBalancer. One
-/// implementation so the two harnesses cannot drift — and routing must
-/// make no engine events, which is what keeps a 1-replica fleet
-/// bit-identical to ServingSim.
+/// enqueue_request_event callback. Routing makes no engine events, so a
+/// 1-replica fleet runs exactly its replica's event sequence.
 template <typename RouteFn>
 sim::Task arrivals_proc(sim::Engine& engine, TrafficGen& traffic,
                         RouteFn route) {
@@ -369,10 +360,10 @@ sim::Task arrivals_proc(sim::Engine& engine, TrafficGen& traffic,
   }
 }
 
-/// Closed-loop client shared by both harnesses: submit (routed fresh each
-/// iteration, so a client's requests follow the balancer), await
-/// completion or rejection, think, repeat. The global request budget is
-/// shared across clients through FleetShared.
+/// Closed-loop client: submit (routed fresh each iteration, so a client's
+/// requests follow the balancer), await completion or rejection, think,
+/// repeat. The global request budget is shared across clients through
+/// FleetShared.
 template <typename RouteFn>
 sim::Task client_proc(sim::Engine& engine, FleetShared& shared,
                       TrafficGen& traffic, double think_time_s,

@@ -74,7 +74,7 @@ struct TrafficConfig {
 
   /// Requests this config injects: the explicit schedule's length when one
   /// is given, else the script's length, else `num_requests`. The one
-  /// place the count is resolved — TrafficGen and both harnesses read it.
+  /// place the count is resolved — TrafficGen and FleetSim read it.
   std::uint32_t request_count() const {
     if (!explicit_arrivals.empty()) {
       return static_cast<std::uint32_t>(explicit_arrivals.size());

@@ -1,6 +1,8 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace looplynx::util {
 
@@ -44,7 +46,15 @@ std::string Cli::get_or(const std::string& name, std::string fallback) const {
 long long Cli::get_int_or(const std::string& name, long long fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  return std::strtoll(v->c_str(), nullptr, 10);
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(v->c_str(), &end, 10);
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("--" + name +
+                                " expects a 64-bit integer, got \"" + *v +
+                                "\"");
+  }
+  return value;
 }
 
 double Cli::get_double_or(const std::string& name, double fallback) const {

@@ -27,6 +27,8 @@ class Cli {
   std::optional<std::string> get(const std::string& name) const;
 
   std::string get_or(const std::string& name, std::string fallback) const;
+  /// Throws std::invalid_argument unless the value is a whole base-10
+  /// number that fits in long long (a bare flag yields `fallback`).
   long long get_int_or(const std::string& name, long long fallback) const;
   double get_double_or(const std::string& name, double fallback) const;
   bool get_bool_or(const std::string& name, bool fallback) const;

@@ -24,7 +24,6 @@
 #include "serve/cli_flags.hpp"
 #include "serve/fleet.hpp"
 #include "serve/queue.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -391,6 +390,21 @@ TEST(AutoscaleCliTest, RejectsInvertedOrDegenerateBounds) {
                std::invalid_argument);
   // unknown policy
   EXPECT_THROW(parse_scheduler_cli(make_cli({"--autoscale=never"})),
+               std::invalid_argument);
+}
+
+TEST(AutoscaleCliTest, RejectsBoundsThatDoNotFit) {
+  // A floor of 2^32 + 1 must not wrap to 1, nor a garbled entry parse as
+  // its numeric prefix.
+  for (const char* bound : {"--min-replicas=4294967297", "--min-replicas=1x",
+                            "--max-replicas=4294967300"}) {
+    EXPECT_THROW(parse_scheduler_cli(make_cli({"--autoscale=queue", bound})),
+                 std::invalid_argument)
+        << bound;
+  }
+  EXPECT_THROW(parse_scheduler_cli(make_cli(
+                   {"--autoscale=queue", "--roles=prefill,decode",
+                    "--max-replicas=1,4294967297"})),
                std::invalid_argument);
 }
 

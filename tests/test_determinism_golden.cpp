@@ -36,7 +36,6 @@
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "tests/golden/serve_golden.hpp"
 #include "util/sha256.hpp"
@@ -210,6 +209,11 @@ model::ModelConfig golden_model() {
   return m;
 }
 
+/// One deployment: the 1-replica fleet's rollup.
+FleetMetrics run_one(const ServingConfig& cfg, Observer* obs = nullptr) {
+  return FleetSim(FleetConfig::homogeneous(cfg, 1)).run(obs).fleet;
+}
+
 ServingConfig golden_base() {
   ServingConfig cfg;
   cfg.arch = core::ArchConfig::one_node();
@@ -242,18 +246,18 @@ std::string canonical_sweep() {
 
   {
     ServingConfig cfg = golden_base();
-    serialize(out, "single-prefill-poisson", ServingSim(cfg).run());
+    serialize(out, "single-prefill-poisson", run_one(cfg));
   }
   {
     ServingConfig cfg = golden_base();
     cfg.scheduler.policy = BatchPolicy::kDecodePriority;
-    serialize(out, "single-decode-poisson", ServingSim(cfg).run());
+    serialize(out, "single-decode-poisson", run_one(cfg));
   }
   {
     ServingConfig cfg = golden_base();
     cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
     cfg.scheduler.max_tokens_per_iter = 16;
-    serialize(out, "single-chunked-poisson", ServingSim(cfg).run());
+    serialize(out, "single-chunked-poisson", run_one(cfg));
   }
   {
     ServingConfig cfg = golden_base();
@@ -263,7 +267,7 @@ std::string canonical_sweep() {
     cfg.kv_block_tokens = 4;
     cfg.kv_budget_bytes_per_node = token_budget(cfg, 288);
     cfg.traffic.arrival_rate_per_s = 1200.0;
-    serialize(out, "single-paged-recompute", ServingSim(cfg).run());
+    serialize(out, "single-paged-recompute", run_one(cfg));
   }
   {
     ServingConfig cfg = golden_base();
@@ -271,7 +275,7 @@ std::string canonical_sweep() {
     cfg.traffic.burst_factor = 4.0;
     cfg.traffic.burst_fraction = 0.25;
     cfg.traffic.burst_period_s = 0.05;
-    serialize(out, "single-bursty", ServingSim(cfg).run());
+    serialize(out, "single-bursty", run_one(cfg));
   }
   {
     const FleetConfig cfg = FleetConfig::homogeneous(
@@ -365,20 +369,20 @@ std::string canonical_cache_sweep() {
   };
   {
     ServingConfig cfg = chat_base();
-    serialize_cache(out, "cache-chat-whole-footprint", ServingSim(cfg).run());
+    serialize_cache(out, "cache-chat-whole-footprint", run_one(cfg));
   }
   {
     ServingConfig cfg = chat_base();
     cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
     cfg.kv_budget_bytes_per_node = token_budget(cfg, 96);
-    serialize_cache(out, "cache-chat-paged-youngest", ServingSim(cfg).run());
+    serialize_cache(out, "cache-chat-paged-youngest", run_one(cfg));
   }
   {
     ServingConfig cfg = chat_base();
     cfg.scheduler.preempt = PreemptPolicy::kRecomputeCostAware;
     cfg.kv_budget_bytes_per_node = token_budget(cfg, 96);
     cfg.kv_swap = true;
-    serialize_cache(out, "cache-chat-swap-cost-aware", ServingSim(cfg).run());
+    serialize_cache(out, "cache-chat-swap-cost-aware", run_one(cfg));
   }
   {
     ServingConfig base = chat_base();
@@ -534,7 +538,7 @@ std::string canonical_observed_export() {
   {
     const ServingConfig cfg = observed_single_config();
     Observer obs(1, cfg.arch.frequency_hz);
-    ServingSim(cfg).run(&obs);
+    run_one(cfg, &obs);
     export_both(obs, "single-paged-recompute");
   }
   {
@@ -661,12 +665,12 @@ std::uint64_t makespan_cycles(const FleetMetrics& m, double frequency_hz) {
   return static_cast<std::uint64_t>(std::llround(m.duration_s * frequency_hz));
 }
 
-TEST(LifecyclePins, ClosedLoopServingSim) {
+TEST(LifecyclePins, ClosedLoopSingleReplica) {
   ServingConfig cfg = observed_single_config();
   cfg.traffic.process = ArrivalProcess::kClosedLoop;
   cfg.traffic.clients = 6;
   cfg.traffic.think_time_s = 0.001;
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = run_one(cfg);
   EXPECT_EQ(m.completed, 32u);
   EXPECT_EQ(m.iterations, 426u);
   EXPECT_EQ(makespan_cycles(m, cfg.arch.frequency_hz), 45835800u);
@@ -694,7 +698,7 @@ TEST(LifecyclePins, ObservedEventMultisets) {
   {
     const ServingConfig cfg = observed_single_config();
     Observer obs(1, cfg.arch.frequency_hz);
-    ServingSim(cfg).run(&obs);
+    run_one(cfg, &obs);
     EXPECT_EQ(event_multiset_sha256(obs),
               "d40317a58d711bd4f60e399c89eae9bfee6f1db21aba00fc957675a6eddcbcc2");
   }

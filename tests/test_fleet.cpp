@@ -1,12 +1,14 @@
 // Tests for the multi-deployment fleet layer: LoadBalancer routing rules
-// and tie-breaks, FleetSim determinism, single-replica equivalence with
-// ServingSim, the JSQ-beats-round-robin acceptance pin on a skewed mix,
-// heterogeneous fleets, and the fleet CLI flag validation.
+// and tie-breaks, FleetSim determinism, the 1-replica rollup identity,
+// the JSQ-beats-round-robin acceptance pin on a skewed mix, heterogeneous
+// fleets, and the fleet CLI flag validation and FleetConfig builder.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/arch_config.hpp"
@@ -14,7 +16,6 @@
 #include "serve/cli_flags.hpp"
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "workload/mix.hpp"
 
@@ -110,6 +111,13 @@ void expect_identical(const FleetMetrics& a, const FleetMetrics& b) {
   EXPECT_EQ(a.recompute_ms, b.recompute_ms);
   EXPECT_EQ(a.kv_peak_used_blocks, b.kv_peak_used_blocks);
   EXPECT_EQ(a.kv_peak_frag_tokens, b.kv_peak_frag_tokens);
+  EXPECT_EQ(a.kv_capacity_blocks, b.kv_capacity_blocks);
+  EXPECT_EQ(a.kv_blocks_in_use_at_end, b.kv_blocks_in_use_at_end);
+  EXPECT_EQ(a.kv_block_tokens, b.kv_block_tokens);
+  EXPECT_EQ(a.slo_good, b.slo_good);
+  EXPECT_EQ(a.throughput_req_s, b.throughput_req_s);
+  EXPECT_EQ(a.decode_tok_s, b.decode_tok_s);
+  EXPECT_EQ(a.prefill_cycles, b.prefill_cycles);
   ASSERT_EQ(a.requests.size(), b.requests.size());
   for (std::size_t i = 0; i < a.requests.size(); ++i) {
     EXPECT_EQ(a.requests[i].id, b.requests[i].id);
@@ -166,53 +174,49 @@ TEST(LoadBalancerTest, KvAwarePicksMostFreeTokensThenJsqThenIndex) {
 
 // ------------------------------------------------- Single-replica identity
 
-/// The refactor-correctness pin: a 1-replica fleet must be bit-identical
-/// to ServingSim on the same config — both run the same replica machinery
-/// and a balancer over one replica makes no extra engine events. This is
-/// what makes `serve_load --replicas=1` byte-identical to the pre-fleet
-/// output by construction.
-TEST(FleetSimTest, SingleReplicaFleetMatchesServingSim) {
-  ServingConfig cfg = base_config();
-  cfg.keep_request_records = true;
-  for (const BalancerPolicy policy :
-       {BalancerPolicy::kRoundRobin, BalancerPolicy::kJoinShortestQueue,
-        BalancerPolicy::kKvAware}) {
-    const FleetResult fleet =
-        FleetSim(FleetConfig::homogeneous(cfg, 1, policy)).run();
-    const FleetMetrics lone = ServingSim(cfg).run();
-    expect_identical(fleet.fleet, lone);
-    ASSERT_EQ(fleet.replicas.size(), 1u);
-    expect_identical(fleet.replicas[0], lone);
-    EXPECT_EQ(fleet.load_imbalance, 1.0);
-    EXPECT_EQ(fleet.ttft_p99_spread_ms, 0.0);
+/// A 1-replica fleet's rollup IS its replica's finalized metrics (reused,
+/// not pooled a second time), with engine_events set on the rollup only;
+/// and routing over one replica is policy-blind, so rr/jsq/kv runs are
+/// identical. Inputs: open loop with request records, closed loop, and
+/// paged KV + recompute preemption (the whole eviction path).
+TEST(FleetSimTest, SingleReplicaRollupIsItsReplica) {
+  ServingConfig open = base_config();
+  open.keep_request_records = true;
+  ServingConfig closed = base_config();
+  closed.traffic.process = ArrivalProcess::kClosedLoop;
+  closed.traffic.clients = 4;
+  closed.traffic.think_time_s = 0.001;
+  closed.traffic.num_requests = 16;
+  ServingConfig paged = base_config();
+  paged.scheduler.policy = BatchPolicy::kChunkedMixed;
+  paged.scheduler.max_tokens_per_iter = 16;
+  paged.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
+  paged.kv_block_tokens = 4;
+  paged.traffic.arrival_rate_per_s = 2000.0;
+  KvBlockManager probe(paged.arch, paged.model, 1);
+  paged.kv_budget_bytes_per_node = 96 * probe.bytes_per_token_per_node();
+  for (const ServingConfig* cfg : {&open, &closed, &paged}) {
+    const FleetResult rr = FleetSim(FleetConfig::homogeneous(*cfg, 1)).run();
+    ASSERT_EQ(rr.replicas.size(), 1u);
+    expect_identical(rr.fleet, rr.replicas[0]);
+    EXPECT_GT(rr.fleet.engine_events, 0u);
+    EXPECT_EQ(rr.replicas[0].engine_events, 0u);
+    EXPECT_EQ(rr.fleet.requests.size(),
+              cfg->keep_request_records ? rr.fleet.offered : 0u);
+    EXPECT_EQ(rr.load_imbalance, 1.0);
+    EXPECT_EQ(rr.ttft_p99_spread_ms, 0.0);
+    // The paged input must actually exercise preemption.
+    if (cfg == &paged) {
+      EXPECT_GT(rr.fleet.preemptions, 0u);
+    }
+    for (const BalancerPolicy policy :
+         {BalancerPolicy::kJoinShortestQueue, BalancerPolicy::kKvAware}) {
+      const FleetResult other =
+          FleetSim(FleetConfig::homogeneous(*cfg, 1, policy)).run();
+      expect_identical(other, rr);
+      EXPECT_EQ(other.fleet.engine_events, rr.fleet.engine_events);
+    }
   }
-}
-
-TEST(FleetSimTest, SingleReplicaFleetMatchesServingSimClosedLoop) {
-  ServingConfig cfg = base_config();
-  cfg.traffic.process = ArrivalProcess::kClosedLoop;
-  cfg.traffic.clients = 4;
-  cfg.traffic.think_time_s = 0.001;
-  cfg.traffic.num_requests = 16;
-  const FleetResult fleet = FleetSim(FleetConfig::homogeneous(cfg, 1)).run();
-  expect_identical(fleet.fleet, ServingSim(cfg).run());
-}
-
-TEST(FleetSimTest, SingleReplicaFleetMatchesServingSimPagedPreempt) {
-  // Paged KV + recompute preemption exercises the whole eviction path
-  // through the shared replica machinery.
-  ServingConfig cfg = base_config();
-  cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
-  cfg.scheduler.max_tokens_per_iter = 16;
-  cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
-  cfg.kv_block_tokens = 4;
-  cfg.traffic.arrival_rate_per_s = 2000.0;
-  KvBlockManager probe(cfg.arch, cfg.model, 1);
-  cfg.kv_budget_bytes_per_node = 96 * probe.bytes_per_token_per_node();
-  const FleetMetrics lone = ServingSim(cfg).run();
-  const FleetResult fleet = FleetSim(FleetConfig::homogeneous(cfg, 1)).run();
-  expect_identical(fleet.fleet, lone);
-  EXPECT_GT(lone.preemptions, 0u);  // the path was actually exercised
 }
 
 // ------------------------------------------------------------ Determinism
@@ -327,8 +331,8 @@ TEST(FleetSimTest, ClosedLoopFleetRoutesAndCompletes) {
   expect_identical(a, FleetSim(fleet_cfg).run());
 }
 
-/// A request script longer than `num_requests` is replayed whole by both
-/// harnesses: the script length, not the stale num_requests, is the
+/// A request script longer than `num_requests` is replayed whole at every
+/// fleet width: the script length, not the stale num_requests, is the
 /// injection budget, so every scripted request is offered and resolves.
 /// (FleetSim used to stop at num_requests and strand the rest of the
 /// script in queues whose schedulers had already exited.)
@@ -347,7 +351,8 @@ TEST(FleetSimTest, ScriptedTrafficLongerThanNumRequestsRunsWhole) {
   ASSERT_EQ(cfg.traffic.request_count(), script);
   ASSERT_GT(script, cfg.traffic.num_requests);
 
-  const FleetMetrics lone = ServingSim(cfg).run();
+  const FleetMetrics lone =
+      FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
   EXPECT_EQ(lone.offered, script);
   EXPECT_EQ(lone.completed + lone.rejected, lone.offered);
 
@@ -451,6 +456,29 @@ TEST(FleetCliTest, RejectsInvalidReplicaCounts) {
                std::invalid_argument);
   EXPECT_THROW(parse_scheduler_cli(make_cli({"--replicas=-3"})),
                std::invalid_argument);
+}
+
+TEST(FleetCliTest, RejectsIntegersThatAreNotWholeOrDoNotFit) {
+  // None of these may run as some other value: a garbled count as its
+  // numeric prefix (or 0), a count past 2^32 as its low 32 bits.
+  for (const std::vector<const char*>& args :
+       std::vector<std::vector<const char*>>{
+           {"--replicas=4294967298"},
+           {"--replicas=abc"},
+           {"--replicas=2x"},
+           {"--replicas=99999999999999999999"},
+           {"--kv-block-tokens=4294967312"},
+           {"--kv-block-tokens=16.5"},
+           {"--policy=chunked", "--chunk-tokens=abc"},
+           {"--policy=chunked", "--chunk-tokens=4294967296"}}) {
+    EXPECT_THROW(parse_scheduler_cli(make_cli(args)), std::invalid_argument)
+        << args.back();
+  }
+  // The largest 32-bit width still parses (validation of what it means is
+  // FleetSim's job, not the parser's).
+  EXPECT_EQ(parse_scheduler_cli(make_cli({"--kv-block-tokens=4294967295"}))
+                .kv_block_tokens,
+            4294967295u);
 }
 
 TEST(FleetCliTest, RejectsUnknownBalancer) {
@@ -669,6 +697,167 @@ TEST(FleetSimTest, LoadImbalanceCountsRoutingEligibleOnly) {
   EXPECT_DOUBLE_EQ(r.tiers[1].mean_live, 1.0);
   EXPECT_DOUBLE_EQ(r.tiers[0].ttft_p99_spread_ms, 0.0);
   EXPECT_DOUBLE_EQ(r.tiers[1].ttft_p99_spread_ms, 0.0);
+}
+
+/// Every serve_load flag set CI's determinism job runs (the byte-identity
+/// sweeps, the identity checks and the observed exports):
+/// build_fleet_config's result must pass FleetSim validation and carry
+/// every flag given. A flag with no check here fails the test, so a new
+/// CI flag set cannot skip it.
+TEST(FleetCliTest, BuiltConfigReflectsEveryCiDeterminismFlagSet) {
+  const std::vector<std::vector<const char*>> sets = {
+      {},
+      {"--replicas=1"},
+      {"--prefix-cache=off"},
+      {"--policy=prefill", "--chunk-tokens=0"},
+      {"--policy=decode", "--chunk-tokens=0"},
+      {"--policy=chunked", "--chunk-tokens=0"},
+      {"--policy=chunked", "--chunk-tokens=32"},
+      {"--policy=chunked", "--chunk-tokens=32", "--preempt=none",
+       "--kv-block-tokens=16", "--kv-budget-mb=24"},
+      {"--policy=chunked", "--chunk-tokens=32", "--preempt=recompute",
+       "--kv-block-tokens=1", "--kv-budget-mb=24"},
+      {"--policy=chunked", "--chunk-tokens=32", "--preempt=recompute",
+       "--kv-block-tokens=16", "--kv-budget-mb=24"},
+      {"--policy=prefill", "--preempt=recompute", "--kv-block-tokens=16",
+       "--kv-budget-mb=24"},
+      {"--replicas=4"},
+      {"--replicas", "4", "--balancer", "jsq"},
+      {"--replicas=2", "--balancer=kv", "--policy=chunked",
+       "--chunk-tokens=32", "--preempt=recompute", "--kv-block-tokens=16",
+       "--kv-budget-mb=24"},
+      {"--autoscale=queue", "--min-replicas=1", "--max-replicas=4",
+       "--scale-interval-ms=50"},
+      {"--autoscale", "hybrid", "--min-replicas", "1", "--max-replicas", "3",
+       "--balancer", "jsq"},
+      {"--autoscale=slo", "--min-replicas=2", "--max-replicas=4",
+       "--policy=chunked", "--chunk-tokens=32", "--preempt=recompute",
+       "--kv-block-tokens=16", "--kv-budget-mb=24"},
+      {"--prefix-cache", "--policy=chunked", "--chunk-tokens=32",
+       "--preempt=recompute", "--kv-block-tokens=16", "--kv-budget-mb=24"},
+      {"--prefix-cache", "--kv-swap", "--policy=chunked", "--chunk-tokens=32",
+       "--preempt=recompute", "--kv-block-tokens=16", "--kv-budget-mb=24"},
+      {"--prefix-cache", "--kv-swap", "--policy=chunked", "--chunk-tokens=32",
+       "--preempt=cost-aware", "--kv-block-tokens=16", "--kv-budget-mb=24"},
+      {"--replicas=2", "--roles=prefill,decode"},
+      {"--replicas=3", "--roles=prefill,prefill,decode", "--balancer=jsq",
+       "--kv-link-gbps=25"},
+      {"--replicas=3", "--roles=prefill,general,decode", "--balancer=jsq",
+       "--policy=chunked", "--chunk-tokens=32", "--preempt=recompute",
+       "--kv-block-tokens=16", "--kv-budget-mb=24"},
+      {"--autoscale=hybrid", "--roles=prefill,prefill,decode",
+       "--min-replicas=1,1", "--max-replicas=2,1", "--balancer=jsq"},
+      {"--autoscale=queue", "--roles=prefill,decode", "--kv-link-gbps=25"},
+      {"--policy=chunked", "--chunk-tokens=32", "--preempt=recompute",
+       "--kv-block-tokens=16", "--kv-budget-mb=24", "--trace-out=t.json",
+       "--metrics-out=m.prom"},
+      {"--roles=prefill,prefill,decode", "--autoscale=hybrid",
+       "--min-replicas=1,1", "--max-replicas=2,1", "--trace-out=t.json",
+       "--metrics-out=m.prom"},
+  };
+  const ServingConfig base = base_config();
+  const core::StepCostModel costs(base.arch, base.model,
+                                  base.cost_probe_stride);
+  const double hz = base.arch.frequency_hz;
+  const auto join = [](const std::vector<std::uint32_t>& v) {
+    std::string s;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) s += ",";
+      s += std::to_string(v[i]);
+    }
+    return s;
+  };
+  for (const std::vector<const char*>& args : sets) {
+    std::string where = "serve_load";
+    for (const char* a : args) where += std::string(" ") + a;
+    SCOPED_TRACE(where);
+    const util::Cli cli = make_cli(args);
+    const SchedulerCliOptions opts = parse_scheduler_cli(cli);
+    // serve_load sets --kv-budget-mb on the base itself.
+    ServingConfig surface = base;
+    surface.kv_budget_bytes_per_node =
+        static_cast<std::uint64_t>(cli.get_int_or("kv-budget-mb", 0)) << 20;
+    const FleetConfig fleet = build_fleet_config(opts, surface);
+    EXPECT_NO_THROW((FleetSim{fleet, costs}));
+    ASSERT_EQ(fleet.replicas.size(), opts.fleet_width());
+    EXPECT_EQ(fleet.traffic.request_count(), base.traffic.request_count());
+    EXPECT_EQ(fleet.traffic.seed, base.traffic.seed);
+    if (fleet.disaggregated() && !cli.has("kv-link-gbps")) {
+      EXPECT_DOUBLE_EQ(fleet.kv_link.bytes_per_cycle, 100e9 / hz);
+    }
+    const auto each = [&](const auto& check) {
+      for (const ServingConfig& r : fleet.replicas) check(r);
+    };
+    for (const char* a : args) {
+      const std::string arg = a;
+      if (arg.rfind("--", 0) != 0) continue;  // a space-form value
+      const std::string flag = arg.substr(2, arg.find('=') - 2);
+      const std::string value = cli.get_or(flag, "");
+      if (flag == "policy") {
+        each([&](const ServingConfig& r) {
+          EXPECT_EQ(r.scheduler.policy, parse_batch_policy(value));
+        });
+      } else if (flag == "chunk-tokens") {
+        each([&](const ServingConfig& r) {
+          EXPECT_EQ(r.scheduler.max_tokens_per_iter, std::stoul(value));
+        });
+      } else if (flag == "preempt") {
+        each([&](const ServingConfig& r) {
+          EXPECT_EQ(r.scheduler.preempt, parse_preempt_policy(value));
+        });
+      } else if (flag == "kv-block-tokens") {
+        each([&](const ServingConfig& r) {
+          EXPECT_EQ(r.kv_block_tokens, std::stoul(value));
+        });
+      } else if (flag == "kv-budget-mb") {
+        each([&](const ServingConfig& r) {
+          EXPECT_EQ(r.kv_budget_bytes_per_node, std::stoull(value) << 20);
+        });
+      } else if (flag == "prefix-cache") {
+        each([&](const ServingConfig& r) {
+          EXPECT_EQ(r.prefix_cache, value != "off");
+        });
+      } else if (flag == "kv-swap") {
+        each([&](const ServingConfig& r) { EXPECT_TRUE(r.kv_swap); });
+      } else if (flag == "replicas") {
+        EXPECT_EQ(fleet.replicas.size(), std::stoul(value));
+      } else if (flag == "balancer") {
+        EXPECT_EQ(fleet.balancer, parse_balancer_policy(value));
+      } else if (flag == "roles") {
+        std::string names;
+        for (const ReplicaRole role : fleet.roles) {
+          if (!names.empty()) names += ",";
+          names += replica_role_name(role);
+        }
+        EXPECT_EQ(names, value);
+        EXPECT_EQ(fleet.roles.size(), fleet.replicas.size());
+      } else if (flag == "kv-link-gbps") {
+        EXPECT_DOUBLE_EQ(fleet.kv_link.bytes_per_cycle,
+                         std::stod(value) * 1e9 / hz);
+      } else if (flag == "autoscale") {
+        EXPECT_TRUE(fleet.autoscale.enabled);
+        EXPECT_EQ(fleet.autoscale.policy, value.empty()
+                                              ? ScalePolicy::kHybrid
+                                              : parse_scale_policy(value));
+      } else if (flag == "min-replicas" || flag == "max-replicas") {
+        const bool lo = flag == "min-replicas";
+        const AutoscalerConfig& as = fleet.autoscale;
+        EXPECT_EQ(fleet.disaggregated()
+                      ? join(lo ? as.tier_min : as.tier_max)
+                      : std::to_string(lo ? as.min_replicas
+                                          : as.max_replicas),
+                  value);
+      } else if (flag == "scale-interval-ms") {
+        EXPECT_DOUBLE_EQ(fleet.autoscale.eval_interval_ms, std::stod(value));
+      } else if (flag == "trace-out") {
+        EXPECT_EQ(opts.trace_out, value);
+      } else if (flag == "metrics-out") {
+        EXPECT_EQ(opts.metrics_out, value);
+      } else {
+        ADD_FAILURE() << "no check for --" << flag;
+      }
+    }
+  }
 }
 
 TEST(FleetCliTest, RoleNamesRoundTrip) {

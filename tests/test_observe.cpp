@@ -24,7 +24,6 @@
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
 #include "serve/observe.hpp"
-#include "serve/serving_sim.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "workload/mix.hpp"
@@ -38,6 +37,11 @@ model::ModelConfig observe_model() {
   m.name = "cosim-256";
   m.max_seq_len = 256;
   return m;
+}
+
+/// One deployment: the 1-replica fleet's rollup.
+FleetMetrics run_one(const ServingConfig& cfg, Observer* obs = nullptr) {
+  return FleetSim(FleetConfig::homogeneous(cfg, 1)).run(obs).fleet;
 }
 
 ServingConfig base_config() {
@@ -252,9 +256,10 @@ TEST(ObserveRunTest, ObservedRunLeavesMetricsUntouched) {
   const ServingConfig cfg = base_config();
   const core::StepCostModel costs(cfg.arch, cfg.model,
                                   cfg.cost_probe_stride);
-  const FleetMetrics plain = ServingSim(cfg, costs).run();
+  const FleetSim sim(FleetConfig::homogeneous(cfg, 1), costs);
+  const FleetMetrics plain = sim.run().fleet;
   Observer obs(1, cfg.arch.frequency_hz);
-  const FleetMetrics observed = ServingSim(cfg, costs).run(&obs);
+  const FleetMetrics observed = sim.run(&obs).fleet;
   // Bit-identical, not approximately equal: observation is pure
   // bookkeeping, it must not perturb the simulation.
   EXPECT_EQ(plain.completed, observed.completed);
@@ -275,7 +280,7 @@ TEST(ObserveRunTest, TilingHoldsAcrossPolicyMatrix) {
       cfg.scheduler.max_tokens_per_iter = 16;
     }
     Observer obs(1, cfg.arch.frequency_hz);
-    const FleetMetrics m = ServingSim(cfg).run(&obs);
+    const FleetMetrics m = run_one(cfg, &obs);
     check_observer_invariants(obs);
     EXPECT_GT(obs.makespan(), 0u);
     EXPECT_EQ(count_kind(obs, LifecycleEvent::kFinish), m.completed);
@@ -287,7 +292,7 @@ TEST(ObserveRunTest, TilingHoldsAcrossPolicyMatrix) {
 TEST(ObserveRunTest, PreemptionEventsAndRecomputeCyclesAppear) {
   const ServingConfig cfg = preempting_config();
   Observer obs(1, cfg.arch.frequency_hz);
-  const FleetMetrics m = ServingSim(cfg).run(&obs);
+  const FleetMetrics m = run_one(cfg, &obs);
   check_observer_invariants(obs);
   ASSERT_GT(m.preemptions, 0u);  // the config must exercise the pool limit
   EXPECT_EQ(count_kind(obs, LifecycleEvent::kPreempt), m.preemptions);
@@ -333,9 +338,9 @@ TEST(ObserveRunTest, AutoscaledRunRecordsScaleAndDrainEvents) {
 TEST(ObserveRunTest, ObservedRunProcessesTheSameEngineEvents) {
   {
     const ServingConfig cfg = preempting_config();
-    const std::uint64_t plain = ServingSim(cfg).run().engine_events;
+    const std::uint64_t plain = run_one(cfg).engine_events;
     Observer obs(1, cfg.arch.frequency_hz);
-    const FleetMetrics observed = ServingSim(cfg).run(&obs);
+    const FleetMetrics observed = run_one(cfg, &obs);
     ASSERT_GT(observed.preemptions, 0u);
     EXPECT_GT(plain, 0u);
     EXPECT_EQ(observed.engine_events, plain);
@@ -361,7 +366,7 @@ TEST(ObserveRunTest, ObservedRunProcessesTheSameEngineEvents) {
 TEST(ObserveRunTest, RunRejectsMismatchedObserverWidth) {
   const ServingConfig cfg = base_config();
   Observer wide(2, cfg.arch.frequency_hz);
-  EXPECT_THROW(ServingSim(cfg).run(&wide), std::invalid_argument);
+  EXPECT_THROW(run_one(cfg, &wide), std::invalid_argument);
   const FleetConfig fleet = FleetConfig::homogeneous(
       base_config(), 3, BalancerPolicy::kRoundRobin);
   Observer narrow(2, cfg.arch.frequency_hz);
@@ -374,7 +379,7 @@ TEST(ObserveExportTest, RepeatedRunsExportIdenticalBytes) {
   const ServingConfig cfg = preempting_config();
   const auto run_and_export = [&cfg](std::string& trace, std::string& prom) {
     Observer obs(1, cfg.arch.frequency_hz);
-    ServingSim(cfg).run(&obs);
+    run_one(cfg, &obs);
     std::ostringstream t, p;
     obs.write_chrome_trace(t);
     obs.write_prometheus(p);
@@ -393,7 +398,7 @@ TEST(ObserveExportTest, RepeatedRunsExportIdenticalBytes) {
 TEST(ObserveExportTest, ChromeTraceCarriesLifecycleAndBreakdown) {
   const ServingConfig cfg = preempting_config();
   Observer obs(1, cfg.arch.frequency_hz);
-  ServingSim(cfg).run(&obs);
+  run_one(cfg, &obs);
   std::ostringstream os;
   obs.write_chrome_trace(os);
   const std::string json = os.str();

@@ -16,8 +16,8 @@
 #include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
 #include "model/config.hpp"
+#include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
-#include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "util/rng.hpp"
 #include "workload/scenario.hpp"
@@ -576,8 +576,9 @@ TEST(PrefixCacheDeterminism, CacheOnRunTwiceIsIdentical) {
   cfg.kv_swap = true;
   cfg.keep_request_records = true;
 
-  const FleetMetrics a = ServingSim(cfg).run();
-  const FleetMetrics b = ServingSim(cfg).run();
+  const FleetConfig fleet = FleetConfig::homogeneous(cfg, 1);
+  const FleetMetrics a = FleetSim(fleet).run().fleet;
+  const FleetMetrics b = FleetSim(fleet).run().fleet;
   EXPECT_GT(a.cache_hit_tokens, 0u);  // non-vacuous
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.cache_hit_tokens, b.cache_hit_tokens);
@@ -602,7 +603,8 @@ TEST(PrefixCacheDeterminism, KvSwapRequiresPrefixCache) {
   cfg.arch = core::ArchConfig::one_node();
   cfg.model = model::cosim_config();
   cfg.kv_swap = true;
-  EXPECT_THROW(ServingSim sim(cfg), std::invalid_argument);
+  EXPECT_THROW(FleetSim{FleetConfig::homogeneous(cfg, 1)},
+               std::invalid_argument);
 }
 
 }  // namespace

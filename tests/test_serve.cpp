@@ -17,10 +17,10 @@
 #include "model/weights.hpp"
 #include "quant/int8_model.hpp"
 #include "serve/cli_flags.hpp"
+#include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
 #include "serve/queue.hpp"
 #include "serve/scheduler.hpp"
-#include "serve/serving_sim.hpp"
 #include "serve/traffic.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -38,6 +38,16 @@ model::ModelConfig chunk_model() {
   m.name = "cosim-256";
   m.max_seq_len = 256;
   return m;
+}
+
+/// One deployment: the 1-replica fleet's rollup.
+FleetMetrics run_one(const ServingConfig& cfg) {
+  return FleetSim(FleetConfig::homogeneous(cfg, 1)).run().fleet;
+}
+
+FleetMetrics run_one(const ServingConfig& cfg,
+                     const core::StepCostModel& costs) {
+  return FleetSim(FleetConfig::homogeneous(cfg, 1), costs).run().fleet;
 }
 
 /// Marks a request's whole prompt as pushed (decode-ready).
@@ -145,7 +155,7 @@ TEST(StepCostModelTest, PrefillGroupSharesWeightStream) {
   EXPECT_GE(shared, 24u * costs.weight_mac_cycles());  // longest chunk
 }
 
-TEST(ServingSimTest, SharedPrefillWeightsSaveCycles) {
+TEST(SingleReplicaTest, SharedPrefillWeightsSaveCycles) {
   // Chunked traffic with several prompts in flight: iterations routinely
   // co-schedule 2+ prefill chunks, which is where the sharing fires.
   ServingConfig cfg = base_config();
@@ -157,9 +167,9 @@ TEST(ServingSimTest, SharedPrefillWeightsSaveCycles) {
   cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
   cfg.scheduler.max_tokens_per_iter = 64;
   cfg.scheduler.max_in_flight = 8;
-  const FleetMetrics separate = ServingSim(cfg).run();
+  const FleetMetrics separate = run_one(cfg);
   cfg.scheduler.share_prefill_weights = true;
-  const FleetMetrics shared = ServingSim(cfg).run();
+  const FleetMetrics shared = run_one(cfg);
   // Same work completed, strictly fewer prefill pipeline cycles executed,
   // and the saving reaches the caller-visible clock.
   EXPECT_EQ(shared.completed, separate.completed);
@@ -169,13 +179,13 @@ TEST(ServingSimTest, SharedPrefillWeightsSaveCycles) {
   EXPECT_LT(shared.duration_s, separate.duration_s);
 }
 
-TEST(ServingSimTest, LargerBatchRaisesSaturatedThroughput) {
+TEST(SingleReplicaTest, LargerBatchRaisesSaturatedThroughput) {
   ServingConfig cfg = base_config();
   cfg.traffic.arrival_rate_per_s = 50000.0;  // saturating burst
   cfg.scheduler.max_batch = 1;
-  const FleetMetrics serial = ServingSim(cfg).run();
+  const FleetMetrics serial = run_one(cfg);
   cfg.scheduler.max_batch = 8;
-  const FleetMetrics batched = ServingSim(cfg).run();
+  const FleetMetrics batched = run_one(cfg);
   EXPECT_GT(batched.decode_tok_s, serial.decode_tok_s);
   EXPECT_GT(batched.mean_batch_size, serial.mean_batch_size);
 }
@@ -724,33 +734,33 @@ void expect_identical(const FleetMetrics& a, const FleetMetrics& b) {
   EXPECT_EQ(a.kv_peak_frag_tokens, b.kv_peak_frag_tokens);
 }
 
-TEST(ServingSimTest, SameSeedSameMetrics) {
+TEST(SingleReplicaTest, SameSeedSameMetrics) {
   const ServingConfig cfg = base_config();
-  const ServingSim sim(cfg);
-  const FleetMetrics a = sim.run();
-  const FleetMetrics b = sim.run();                  // same instance
-  const FleetMetrics c = ServingSim(cfg).run();      // fresh cost probe
+  const FleetSim sim(FleetConfig::homogeneous(cfg, 1));
+  const FleetMetrics a = sim.run().fleet;
+  const FleetMetrics b = sim.run().fleet;  // same instance
+  const FleetMetrics c = run_one(cfg);     // fresh cost probe
   expect_identical(a, b);
   expect_identical(a, c);
   EXPECT_EQ(a.completed, cfg.traffic.num_requests);
   EXPECT_EQ(a.offered, a.completed + a.rejected);
 }
 
-TEST(ServingSimTest, DifferentSeedsDiverge) {
+TEST(SingleReplicaTest, DifferentSeedsDiverge) {
   ServingConfig cfg = base_config();
-  const FleetMetrics a = ServingSim(cfg).run();
+  const FleetMetrics a = run_one(cfg);
   cfg.traffic.seed = 43;
-  const FleetMetrics b = ServingSim(cfg).run();
+  const FleetMetrics b = run_one(cfg);
   EXPECT_NE(a.duration_s, b.duration_s);
 }
 
-TEST(ServingSimTest, KvExhaustionBackpressuresButCompletes) {
+TEST(SingleReplicaTest, KvExhaustionBackpressuresButCompletes) {
   ServingConfig cfg = base_config();
   // Room for ~2 test-mix requests at a time; 24 arrive nearly at once.
   cfg.traffic.arrival_rate_per_s = 50000.0;
   KvBlockManager probe(cfg.arch, cfg.model, 1);
   cfg.kv_budget_bytes_per_node = 64 * probe.bytes_per_token_per_node();
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = run_one(cfg);
   EXPECT_EQ(m.completed, cfg.traffic.num_requests);
   EXPECT_EQ(m.rejected, 0u);
   EXPECT_GT(m.kv_stall_events, 0u);       // admission actually stalled
@@ -759,7 +769,7 @@ TEST(ServingSimTest, KvExhaustionBackpressuresButCompletes) {
   EXPECT_GT(m.queue_wait_ms.p99, m.queue_wait_ms.p50);
 }
 
-TEST(ServingSimTest, OversizedRequestIsRejectedNotWedged) {
+TEST(SingleReplicaTest, OversizedRequestIsRejectedNotWedged) {
   ServingConfig cfg = base_config();
   cfg.traffic.explicit_arrivals = {
       {0, workload::make_scenario(8, 8)},
@@ -768,30 +778,30 @@ TEST(ServingSimTest, OversizedRequestIsRejectedNotWedged) {
   };
   KvBlockManager probe(cfg.arch, cfg.model, 1);
   cfg.kv_budget_bytes_per_node = 32 * probe.bytes_per_token_per_node();
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = run_one(cfg);
   EXPECT_EQ(m.offered, 3u);
   EXPECT_EQ(m.completed, 2u);
   EXPECT_EQ(m.rejected, 1u);
 }
 
-TEST(ServingSimTest, QueueCapacityShedsLoad) {
+TEST(SingleReplicaTest, QueueCapacityShedsLoad) {
   ServingConfig cfg = base_config();
   cfg.traffic.arrival_rate_per_s = 5000.0;  // everyone arrives at once
   cfg.scheduler.queue_capacity = 4;
   cfg.scheduler.max_in_flight = 2;
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = run_one(cfg);
   EXPECT_GT(m.rejected, 0u);
   EXPECT_EQ(m.offered, m.completed + m.rejected);
   EXPECT_LE(m.peak_queue_depth, 4u);
 }
 
-TEST(ServingSimTest, BatchingRespectsMaxBatchAndInterleaves) {
+TEST(SingleReplicaTest, BatchingRespectsMaxBatchAndInterleaves) {
   for (const BatchPolicy policy :
        {BatchPolicy::kPrefillPriority, BatchPolicy::kDecodePriority}) {
     ServingConfig cfg = base_config();
     cfg.scheduler.policy = policy;
     cfg.keep_request_records = true;
-    const FleetMetrics m = ServingSim(cfg).run();
+    const FleetMetrics m = run_one(cfg);
     EXPECT_EQ(m.completed, cfg.traffic.num_requests);
     EXPECT_LE(m.mean_batch_size,
               static_cast<double>(cfg.scheduler.max_batch));
@@ -800,38 +810,38 @@ TEST(ServingSimTest, BatchingRespectsMaxBatchAndInterleaves) {
   }
 }
 
-TEST(ServingSimTest, PolicyTradesTtftForTokenLatency) {
+TEST(SingleReplicaTest, PolicyTradesTtftForTokenLatency) {
   ServingConfig cfg = base_config();
   cfg.traffic.arrival_rate_per_s = 2000.0;  // saturating burst
   cfg.traffic.num_requests = 32;
   cfg.scheduler.policy = BatchPolicy::kPrefillPriority;
-  const FleetMetrics prefill_first = ServingSim(cfg).run();
+  const FleetMetrics prefill_first = run_one(cfg);
   cfg.scheduler.policy = BatchPolicy::kDecodePriority;
-  const FleetMetrics decode_first = ServingSim(cfg).run();
+  const FleetMetrics decode_first = run_one(cfg);
   // Prefill priority admits new requests sooner => lower median TTFT.
   EXPECT_LT(prefill_first.ttft_ms.p50, decode_first.ttft_ms.p50);
 }
 
-TEST(ServingSimTest, ChunkedPolicyIsDeterministic) {
+TEST(SingleReplicaTest, ChunkedPolicyIsDeterministic) {
   ServingConfig cfg = base_config();
   cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
   cfg.scheduler.max_tokens_per_iter = 8;
-  const FleetMetrics a = ServingSim(cfg).run();
-  const FleetMetrics b = ServingSim(cfg).run();
+  const FleetMetrics a = run_one(cfg);
+  const FleetMetrics b = run_one(cfg);
   expect_identical(a, b);
   EXPECT_EQ(a.completed, cfg.traffic.num_requests);
   EXPECT_GT(a.chunked_prompts, 0u);  // the 16-token prompts actually split
 }
 
-TEST(ServingSimTest, ChunkedWithSlackBudgetMatchesDecodePriority) {
+TEST(SingleReplicaTest, ChunkedWithSlackBudgetMatchesDecodePriority) {
   // When the budget always covers whole prompts, kChunkedMixed degenerates
   // to decode-priority scheduling — the two runs must be bit-identical.
   ServingConfig cfg = base_config();
   cfg.scheduler.policy = BatchPolicy::kDecodePriority;
-  const FleetMetrics decode = ServingSim(cfg).run();
+  const FleetMetrics decode = run_one(cfg);
   cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
   cfg.scheduler.max_tokens_per_iter = 0;  // unbounded
-  const FleetMetrics chunked = ServingSim(cfg).run();
+  const FleetMetrics chunked = run_one(cfg);
   expect_identical(decode, chunked);
   EXPECT_EQ(chunked.chunked_prompts, 0u);
   EXPECT_EQ(chunked.prefill_chunk_steps, chunked.completed);
@@ -840,7 +850,7 @@ TEST(ServingSimTest, ChunkedWithSlackBudgetMatchesDecodePriority) {
 /// The head-of-line interleaving contract the tentpole exists for: a
 /// [128:*] long-prompt arrival mid-stream must not add more than one
 /// chunk's span to any running decode's inter-token gap.
-TEST(ServingSimTest, LongPromptArrivalMidStreamBoundsDecodeGap) {
+TEST(SingleReplicaTest, LongPromptArrivalMidStreamBoundsDecodeGap) {
   ServingConfig cfg;
   cfg.arch = test_arch();
   cfg.model = chunk_model();
@@ -860,11 +870,11 @@ TEST(ServingSimTest, LongPromptArrivalMidStreamBoundsDecodeGap) {
   };
 
   cfg.scheduler.policy = BatchPolicy::kPrefillPriority;
-  const FleetMetrics whole = ServingSim(cfg, costs).run();
+  const FleetMetrics whole = run_one(cfg, costs);
   cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
   const std::uint32_t budget = 16;
   cfg.scheduler.max_tokens_per_iter = budget;
-  const FleetMetrics chunked = ServingSim(cfg, costs).run();
+  const FleetMetrics chunked = run_one(cfg, costs);
   ASSERT_EQ(whole.requests.size(), 2u);
   ASSERT_EQ(chunked.requests.size(), 2u);
 
@@ -896,7 +906,7 @@ TEST(ServingSimTest, LongPromptArrivalMidStreamBoundsDecodeGap) {
 /// The PR's acceptance criterion: on a long-prompt-heavy mix at a fixed
 /// seed, chunking strictly cuts p99 per-token latency versus unchunked
 /// prefill-priority while holding throughput within 5%.
-TEST(ServingSimTest, ChunkedPrefillCutsTokenTailOnLongPromptMix) {
+TEST(SingleReplicaTest, ChunkedPrefillCutsTokenTailOnLongPromptMix) {
   ServingConfig cfg;
   cfg.arch = test_arch();
   cfg.model = chunk_model();
@@ -914,10 +924,10 @@ TEST(ServingSimTest, ChunkedPrefillCutsTokenTailOnLongPromptMix) {
 
   cfg.scheduler.policy = BatchPolicy::kPrefillPriority;
   cfg.scheduler.max_tokens_per_iter = 0;
-  const FleetMetrics whole = ServingSim(cfg, costs).run();
+  const FleetMetrics whole = run_one(cfg, costs);
   cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
   cfg.scheduler.max_tokens_per_iter = 16;
-  const FleetMetrics chunked = ServingSim(cfg, costs).run();
+  const FleetMetrics chunked = run_one(cfg, costs);
 
   ASSERT_EQ(whole.completed, cfg.traffic.num_requests);
   ASSERT_EQ(chunked.completed, cfg.traffic.num_requests);
@@ -992,16 +1002,16 @@ void bursty_traffic(ServingConfig& cfg) {
 /// concurrent requests and achieves higher goodput than whole-footprint
 /// reservation on the bursty mix — and preemption is livelock-free (every
 /// request finishes, with a bounded recompute count).
-TEST(ServingSimTest, PagedRecomputeBeatsWholeFootprintOnBurstyMix) {
+TEST(SingleReplicaTest, PagedRecomputeBeatsWholeFootprintOnBurstyMix) {
   ServingConfig cfg = paged_config();
   bursty_traffic(cfg);
   const core::StepCostModel costs(cfg.arch, cfg.model,
                                   cfg.cost_probe_stride);
 
   cfg.scheduler.preempt = PreemptPolicy::kNone;
-  const FleetMetrics whole = ServingSim(cfg, costs).run();
+  const FleetMetrics whole = run_one(cfg, costs);
   cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
-  const FleetMetrics paged = ServingSim(cfg, costs).run();
+  const FleetMetrics paged = run_one(cfg, costs);
 
   ASSERT_EQ(whole.completed, cfg.traffic.num_requests);
   ASSERT_EQ(paged.completed, cfg.traffic.num_requests);  // nobody starves
@@ -1029,18 +1039,18 @@ TEST(ServingSimTest, PagedRecomputeBeatsWholeFootprintOnBurstyMix) {
   EXPECT_GT(paged.recompute_ms, 0.0);
 }
 
-TEST(ServingSimTest, RecomputePreemptionIsDeterministic) {
+TEST(SingleReplicaTest, RecomputePreemptionIsDeterministic) {
   ServingConfig cfg = paged_config();
   bursty_traffic(cfg);
   cfg.traffic.num_requests = 48;
   cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
-  const FleetMetrics a = ServingSim(cfg).run();
-  const FleetMetrics b = ServingSim(cfg).run();
+  const FleetMetrics a = run_one(cfg);
+  const FleetMetrics b = run_one(cfg);
   expect_identical(a, b);
   EXPECT_GT(a.preemptions, 0u);
 }
 
-TEST(ServingSimTest, PreemptedRequestEventuallyFinishes) {
+TEST(SingleReplicaTest, PreemptedRequestEventuallyFinishes) {
   // Two decode-heavy requests land at cycle 0 on a pool that fits ~1.3 of
   // their final footprints. Paged admission takes both (prompt blocks
   // only); decode growth then drains the pool and the younger request is
@@ -1053,7 +1063,7 @@ TEST(ServingSimTest, PreemptedRequestEventuallyFinishes) {
   KvBlockManager probe(cfg.arch, cfg.model, 1);
   cfg.kv_budget_bytes_per_node = 64 * probe.bytes_per_token_per_node();
   cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = run_one(cfg);
   ASSERT_EQ(m.completed, 2u);
   ASSERT_EQ(m.requests.size(), 2u);
   EXPECT_EQ(m.requests[0].preemptions, 0u);  // elder: never evicted
@@ -1066,19 +1076,19 @@ TEST(ServingSimTest, PreemptedRequestEventuallyFinishes) {
   // Whole-footprint reservation on the same pool serializes the two
   // requests instead (48 + 48 > 64): same completions, zero preemptions.
   cfg.scheduler.preempt = PreemptPolicy::kNone;
-  const FleetMetrics serial = ServingSim(cfg).run();
+  const FleetMetrics serial = run_one(cfg);
   EXPECT_EQ(serial.completed, 2u);
   EXPECT_EQ(serial.preemptions, 0u);
   EXPECT_EQ(serial.peak_in_flight, 1u);
 }
 
-TEST(ServingSimTest, CoarseBlocksWithoutPreemptionStayConservative) {
+TEST(SingleReplicaTest, CoarseBlocksWithoutPreemptionStayConservative) {
   // preempt=none at block size > 1: the whole footprint is still reserved
   // up front (block-rounded), so nothing is ever evicted and the fleet
   // behaves like the legacy manager with slightly coarser capacity.
   ServingConfig cfg = base_config();
   cfg.kv_block_tokens = 8;
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = run_one(cfg);
   EXPECT_EQ(m.completed, cfg.traffic.num_requests);
   EXPECT_EQ(m.preemptions, 0u);
   EXPECT_EQ(m.kv_block_tokens, 8u);
@@ -1087,24 +1097,25 @@ TEST(ServingSimTest, CoarseBlocksWithoutPreemptionStayConservative) {
   EXPECT_GT(m.kv_peak_frag_tokens, 0u);
 }
 
-TEST(ServingSimTest, RejectsZeroKvBlockTokens) {
+TEST(SingleReplicaTest, RejectsZeroKvBlockTokens) {
   ServingConfig cfg = base_config();
   cfg.kv_block_tokens = 0;
-  EXPECT_THROW(ServingSim{cfg}, std::invalid_argument);
+  EXPECT_THROW(FleetSim{FleetConfig::homogeneous(cfg, 1)},
+               std::invalid_argument);
 }
 
-TEST(ServingSimTest, ClosedLoopSelfLimits) {
+TEST(SingleReplicaTest, ClosedLoopSelfLimits) {
   ServingConfig cfg = base_config();
   cfg.traffic.process = ArrivalProcess::kClosedLoop;
   cfg.traffic.clients = 4;
   cfg.traffic.think_time_s = 0.001;
   cfg.traffic.num_requests = 16;
-  const FleetMetrics m = ServingSim(cfg).run();
+  const FleetMetrics m = run_one(cfg);
   EXPECT_EQ(m.offered, 16u);
   EXPECT_EQ(m.completed, 16u);
   // At most `clients` requests can ever be waiting.
   EXPECT_LE(m.peak_queue_depth, 4u);
-  const FleetMetrics n = ServingSim(cfg).run();
+  const FleetMetrics n = run_one(cfg);
   expect_identical(m, n);
 }
 

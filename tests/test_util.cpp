@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -191,6 +192,17 @@ TEST(CliTest, ParsesSpaceSeparatedValues) {
   Cli cli2(4, argv2);
   EXPECT_EQ(cli2.get_int_or("replicas", 0), 4);
   EXPECT_EQ(cli2.get_or("balancer", ""), "jsq");
+}
+
+TEST(CliTest, IntegerValuesMustBeWholeAndFit) {
+  const char* argv[] = {"prog", "--neg=-3", "--word=abc", "--tail=12abc",
+                        "--frac=1.5", "--huge=99999999999999999999", "--bare"};
+  Cli cli(7, argv);
+  EXPECT_EQ(cli.get_int_or("neg", 0), -3);
+  EXPECT_EQ(cli.get_int_or("bare", 7), 7);  // a bare flag keeps the fallback
+  for (const char* name : {"word", "tail", "frac", "huge"}) {
+    EXPECT_THROW(cli.get_int_or(name, 0), std::invalid_argument) << name;
+  }
 }
 
 TEST(CliTest, DoubleAndBool) {
