@@ -718,6 +718,24 @@ TEST(LifecyclePins, ObservedEventMultisets) {
   }
 }
 
+// The multiset digest above cannot see the order of the exported records.
+// This pin hashes both exports of the same disaggregated, tier-autoscaled
+// run byte for byte, so the tie order of records sharing a cycle — a
+// migrated request's kAdmit carries its first admission's stamp, and step
+// records are stamped ahead of the clock — is pinned too.
+TEST(LifecyclePins, ObservedDisaggExportOrdered) {
+  const FleetConfig cfg = disagg_autoscale_config();
+  Observer obs(3, cfg.replicas.front().arch.frequency_hz);
+  FleetSim(cfg).run(&obs);
+  std::ostringstream trace, prom;
+  obs.write_chrome_trace(trace);
+  obs.write_prometheus(prom);
+  EXPECT_EQ(util::sha256_hex(trace.str()),
+            "cbdccb67600be36dc98b886a77fe05e4403df3550f218cf30c4e0df371364277");
+  EXPECT_EQ(util::sha256_hex(prom.str()),
+            "bc35aeea73a83f0f450f2523106f80c3cddc3898f175eeecaacad77f47c86cdb");
+}
+
 /// Known-answer test for the hasher itself (FIPS 180-4 vectors), so a
 /// golden failure cannot be a broken SHA-256.
 TEST(DeterminismGolden, Sha256KnownAnswers) {
