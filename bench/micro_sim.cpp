@@ -1,21 +1,27 @@
 // Microbenchmarks of the discrete-event simulation engine itself: event
 // throughput, FIFO hand-off cost, and full-token simulation rates. These
 // bound how long the table/figure harnesses take. BM_PrefixCacheReclaim
-// times one serve-layer component in isolation: the prefix cache's
-// victim pick as the number of cached blocks grows.
+// and BM_ObserverRecordFinalize time one serve-layer component each in
+// isolation: the prefix cache's victim pick as the number of cached
+// blocks grows, and the observer's recording plus finalize as its log
+// grows.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
 #include "core/system.hpp"
 #include "model/config.hpp"
 #include "serve/kv_block.hpp"
+#include "serve/observe.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo.hpp"
 #include "sim/task.hpp"
+#include "util/rng.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -108,6 +114,68 @@ void BM_PrefixCacheReclaim(benchmark::State& state) {
   state.SetLabel(std::to_string(cache.resident_blocks()) + " cached blocks");
 }
 BENCHMARK(BM_PrefixCacheReclaim)->Arg(1 << 10)->Arg(16 << 10)->Arg(64 << 10);
+
+/// One recorded lifecycle event of the synthetic observed run.
+struct ObservedStep {
+  sim::Cycles at = 0;
+  bool off_clock = false;
+};
+
+/// A log shaped like an observed disaggregated run: the clock advances by
+/// a few cycles per record, and one record in 160 (the step records and
+/// migrated admits) is stamped up to 20k cycles ahead of it.
+std::vector<ObservedStep> observed_log(std::uint64_t n) {
+  util::Rng rng(7);
+  std::vector<ObservedStep> log(n);
+  sim::Cycles clock = 0;
+  for (ObservedStep& s : log) {
+    clock += rng.next_below(4);
+    s.off_clock = rng.next_below(160) == 0;
+    s.at = s.off_clock ? clock + rng.next_below(20'000) : clock;
+  }
+  return log;
+}
+
+/// Records N events (plus one iteration's three spans per 8 events,
+/// round-robin over 5 replicas), then finalizes: the observer's whole
+/// cost on an observed run apart from the exporters.
+void BM_ObserverRecordFinalize(benchmark::State& state) {
+  constexpr std::uint32_t kReplicas = 5;
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  const std::vector<ObservedStep> log = observed_log(n);
+  for (auto _ : state) {
+    serve::Observer obs(kReplicas, 285e6);
+    sim::Cycles tail[kReplicas] = {};
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const ObservedStep& s = log[i];
+      const auto request = static_cast<std::uint32_t>(i / 8);
+      const std::uint32_t replica = request % kReplicas;
+      if (s.off_clock) {
+        obs.record_off_clock(serve::LifecycleEvent::kChunk, s.at, request,
+                             replica);
+      } else {
+        obs.record(serve::LifecycleEvent::kDecode, s.at, request, replica);
+      }
+      if (i % 8 == 0) {
+        sim::Cycles& t = tail[replica];
+        obs.add_span(replica, serve::CategoryId::kHostSync, t, t + 40);
+        obs.add_span(replica, serve::CategoryId::kDecode, t + 40, t + 900);
+        obs.add_span(replica, serve::CategoryId::kHostSync, t + 900,
+                     t + 960);
+        t += 960;
+      }
+    }
+    const sim::Cycles makespan = *std::max_element(tail, tail + kReplicas);
+    for (std::uint32_t r = 0; r < kReplicas; ++r) obs.mark_exit(r, tail[r]);
+    obs.finalize(makespan);
+    benchmark::DoNotOptimize(obs.events().data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ObserverRecordFinalize)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -4,8 +4,12 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+
+#include "sim/trace.hpp"
 
 namespace looplynx::serve {
 
@@ -78,15 +82,35 @@ void Observer::set_role_names(std::vector<std::string> names) {
 void Observer::record(LifecycleEvent kind, sim::Cycles at,
                       std::uint32_t request, std::uint32_t replica,
                       std::uint32_t a, std::uint32_t b) {
+  if (!events_.empty() && at < events_.back().at) {
+    throw std::logic_error(
+        std::string("Observer::record: on-clock stamp went backwards (") +
+        lifecycle_event_name(kind) + " at cycle " + std::to_string(at) +
+        " after cycle " + std::to_string(events_.back().at) +
+        "); record stamps off the engine clock with record_off_clock()");
+  }
   events_.push_back(ObservedEvent{at, kind, request, replica, a, b});
 }
 
-void Observer::add_span(std::uint32_t replica, const char* cat,
-                        sim::Cycles begin, sim::Cycles end) {
-  per_replica_.at(replica).trace.add(cat, begin, end);
+void Observer::record_off_clock(LifecycleEvent kind, sim::Cycles at,
+                                std::uint32_t request, std::uint32_t replica,
+                                std::uint32_t a, std::uint32_t b) {
+  off_clock_.push_back(
+      OffClock{ObservedEvent{at, kind, request, replica, a, b},
+               events_.size()});
 }
 
-void Observer::begin_wait(std::uint32_t replica, const char* cat,
+void Observer::add_span(std::uint32_t replica, CategoryId cat,
+                        sim::Cycles begin, sim::Cycles end) {
+  PerReplica& r = per_replica_.at(replica);
+  const auto c = static_cast<std::size_t>(cat);
+  r.added[c] = true;
+  if (end <= begin) return;  // zero-width: present in the breakdown only
+  r.totals[c] += end - begin;
+  r.spans.push_back(Span{begin, end, cat});
+}
+
+void Observer::begin_wait(std::uint32_t replica, CategoryId cat,
                           sim::Cycles at) {
   PerReplica& r = per_replica_.at(replica);
   if (r.waiting) {
@@ -103,7 +127,7 @@ void Observer::end_wait(std::uint32_t replica, sim::Cycles at) {
     throw std::logic_error("Observer::end_wait: no wait open");
   }
   r.waiting = false;
-  r.trace.add(r.wait_category, r.wait_start, at);
+  add_span(replica, r.wait_category, r.wait_start, at);
 }
 
 void Observer::mark_exit(std::uint32_t replica, sim::Cycles at) {
@@ -126,18 +150,19 @@ void Observer::finalize(sim::Cycles makespan) {
   if (finalized_) {
     throw std::logic_error("Observer::finalize called twice (single-use)");
   }
-  for (std::size_t i = 0; i < per_replica_.size(); ++i) {
+  for (std::uint32_t i = 0; i < replicas(); ++i) {
     PerReplica& r = per_replica_[i];
     // A replica still parked on its work signal at run end was never woken
     // again: its open wait IS the trailing drain, whatever it looked like
     // at sleep time. A replica whose loop exited drains from the exit.
     if (r.waiting) {
       r.waiting = false;
-      r.trace.add(category::kDrain, r.wait_start, makespan);
+      add_span(i, CategoryId::kDrain, r.wait_start, makespan);
     } else if (r.exited) {
-      r.trace.add(category::kDrain, r.exit_at, makespan);
+      add_span(i, CategoryId::kDrain, r.exit_at, makespan);
     }
-    const sim::Cycles total = r.trace.grand_total();
+    const sim::Cycles total =
+        std::accumulate(r.totals.begin(), r.totals.end(), sim::Cycles{0});
     if (total != makespan) {
       throw std::logic_error(
           "observability tiling violated: replica " + std::to_string(i) +
@@ -145,26 +170,52 @@ void Observer::finalize(sim::Cycles makespan) {
           "makespan is " + std::to_string(makespan) +
           " (the breakdown must partition the timeline exactly)");
     }
+    // kCategories is in name order, so every insert lands at the end.
+    for (std::size_t c = 0; c < kCategoryCount; ++c) {
+      if (r.added[c]) {
+        r.breakdown.emplace_hint(r.breakdown.end(), kCategories[c],
+                                 r.totals[c]);
+      }
+    }
   }
-  // Step records are stamped at computed step-end cycles when the
-  // scheduler books the iteration, ahead of the engine clock; a stable
-  // sort on the cycle puts the log in time order, ties keeping the order
-  // they were recorded in.
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const ObservedEvent& x, const ObservedEvent& y) {
-                     return x.at < y.at;
-                   });
+  merge_off_clock();
   makespan_ = makespan;
   finalized_ = true;
 }
 
-const sim::Trace& Observer::replica_trace(std::uint32_t replica) const {
-  return per_replica_.at(replica).trace;
+void Observer::merge_off_clock() {
+  // The target order is a stable sort of the recording order by cycle:
+  // by (at, recording rank). The on-clock log is already in that order
+  // (nondecreasing stamps, enforced by record()); a stable sort of the
+  // side buffer puts it in that order too. An off-clock record at
+  // `position` p was recorded after on-clock record p - 1 and before
+  // on-clock record p, which decides every tie between the two lists.
+  // Merging from the back in place moves each on-clock record once.
+  std::stable_sort(off_clock_.begin(), off_clock_.end(),
+                   [](const OffClock& x, const OffClock& y) {
+                     return x.event.at < y.event.at;
+                   });
+  std::size_t on = events_.size();
+  std::size_t off = off_clock_.size();
+  events_.resize(on + off);
+  std::size_t out = on + off;
+  while (off > 0) {
+    const OffClock& x = off_clock_[off - 1];
+    if (on > 0 && (events_[on - 1].at > x.event.at ||
+                   (events_[on - 1].at == x.event.at && on > x.position))) {
+      events_[--out] = events_[--on];
+    } else {
+      events_[--out] = x.event;
+      --off;
+    }
+  }
+  off_clock_ = {};
 }
 
 const std::map<std::string, sim::Cycles>& Observer::breakdown(
     std::uint32_t replica) const {
-  return per_replica_.at(replica).trace.totals();
+  require_finalized("breakdown");
+  return per_replica_.at(replica).breakdown;
 }
 
 void Observer::require_finalized(const char* what) const {
@@ -192,18 +243,27 @@ void Observer::write_chrome_trace(std::ostream& os) const {
   }
   // One track per replica: the cycle-accounting spans, in recording order
   // (chronological per replica). Zero-width spans carry no cycles and
-  // would only be viewer noise.
+  // would only be viewer noise, so add_span() never stores them.
   for (std::uint32_t i = 0; i < replicas(); ++i) {
-    for (const sim::Trace::Span& s : per_replica_[i].trace.spans()) {
-      if (s.end == s.begin) continue;
-      writer.complete(s.category, "breakdown", i, /*tid=*/0, s.begin, s.end);
+    for (const Span& s : per_replica_[i].spans) {
+      writer.complete(category_name(s.id), "breakdown", i, /*tid=*/0,
+                      s.begin, s.end);
     }
   }
+  // Scale/drain instants carry the moved replica's role when the fleet is
+  // disaggregated ("scale-up (prefill)"), so a trace of a tier-autoscaled
+  // fleet says which tier the controller touched.
+  const auto decision_name = [this](std::string_view name,
+                                    std::uint32_t replica) {
+    std::string out(name);
+    if (!role_names_.empty()) out += " (" + role_names_[replica] + ")";
+    return out;
+  };
   // One async span per request (opened at routing, closed at finish or
   // rejection), lifecycle instants nested inside; scheduler decisions as
   // instant events on the affected replica's track.
   for (const ObservedEvent& e : events_) {
-    const std::string name = lifecycle_event_name(e.kind);
+    const std::string_view name = lifecycle_event_name(e.kind);
     switch (e.kind) {
       case LifecycleEvent::kRoute:
         writer.async_begin("request", "request", e.replica, e.request, e.at);
@@ -217,20 +277,13 @@ void Observer::write_chrome_trace(std::ostream& os) const {
         writer.instant(name, "decision", e.replica, /*tid=*/0, e.at, 't');
         writer.async_instant(name, "request", e.replica, e.request, e.at);
         break;
-      // Scale/drain instants carry the moved replica's role when the
-      // fleet is disaggregated ("scale-up (prefill)"), so a trace of a
-      // tier-autoscaled fleet says which tier the controller touched.
       case LifecycleEvent::kScaleUp:
       case LifecycleEvent::kScaleDown:
-        writer.instant(role_names_.empty()
-                           ? name
-                           : name + " (" + role_names_[e.replica] + ")",
+        writer.instant(decision_name(name, e.replica),
                        "decision", e.replica, /*tid=*/0, e.at, 'g');
         break;
       case LifecycleEvent::kDrain:
-        writer.instant(role_names_.empty()
-                           ? name
-                           : name + " (" + role_names_[e.replica] + ")",
+        writer.instant(decision_name(name, e.replica),
                        "decision", e.replica, /*tid=*/0, e.at, 'p');
         break;
       default:
@@ -299,8 +352,8 @@ void Observer::write_prometheus(std::ostream& os) const {
   // Replay the event log into per-replica counters and per-request
   // lifecycles. Request ids are dense (fleet-wide injection order).
   std::vector<std::uint64_t> routed(n, 0), admitted(n, 0), rejected(n, 0),
-      completed(n, 0), preemptions(n, 0), tokens(n, 0);
-  std::uint64_t scale_up = 0, scale_down = 0;
+      completed(n, 0), preemptions(n, 0), tokens(n, 0), scaled_up(n, 0),
+      scaled_down(n, 0);
   std::vector<RequestLifecycle> requests;
   for (const ObservedEvent& e : events_) {
     if (e.request != kNoRequest) {
@@ -344,9 +397,9 @@ void Observer::write_prometheus(std::ostream& os) const {
           break;
       }
     } else if (e.kind == LifecycleEvent::kScaleUp) {
-      ++scale_up;
+      ++scaled_up[e.replica];
     } else if (e.kind == LifecycleEvent::kScaleDown) {
-      ++scale_down;
+      ++scaled_down[e.replica];
     }
   }
 
@@ -389,9 +442,12 @@ void Observer::write_prometheus(std::ostream& os) const {
   os << "# HELP looplynx_scale_events_total Autoscaler live-set changes.\n";
   os << "# TYPE looplynx_scale_events_total counter\n";
   if (role_names_.empty()) {
-    os << "looplynx_scale_events_total{direction=\"up\"} " << scale_up
+    os << "looplynx_scale_events_total{direction=\"up\"} "
+       << std::accumulate(scaled_up.begin(), scaled_up.end(), std::uint64_t{0})
        << "\n";
-    os << "looplynx_scale_events_total{direction=\"down\"} " << scale_down
+    os << "looplynx_scale_events_total{direction=\"down\"} "
+       << std::accumulate(scaled_down.begin(), scaled_down.end(),
+                          std::uint64_t{0})
        << "\n";
   } else {
     // Disaggregated fleets scale per tier, so the counters carry the
@@ -403,14 +459,12 @@ void Observer::write_prometheus(std::ostream& os) const {
       for (const std::string& o : order) seen = seen || o == role;
       if (!seen) order.push_back(role);
     }
-    for (const char* direction : {"up", "down"}) {
-      const LifecycleEvent kind = direction[0] == 'u'
-                                      ? LifecycleEvent::kScaleUp
-                                      : LifecycleEvent::kScaleDown;
+    for (const auto& [direction, scaled] :
+         {std::pair{"up", &scaled_up}, std::pair{"down", &scaled_down}}) {
       for (const std::string& role : order) {
         std::uint64_t count = 0;
-        for (const ObservedEvent& e : events_) {
-          if (e.kind == kind && role_names_[e.replica] == role) ++count;
+        for (std::uint32_t i = 0; i < n; ++i) {
+          if (role_names_[i] == role) count += (*scaled)[i];
         }
         os << "looplynx_scale_events_total{direction=\"" << direction
            << "\",role=\"" << role << "\"} " << count << "\n";
@@ -440,10 +494,10 @@ void Observer::write_prometheus(std::ostream& os) const {
         "per replica the categories tile [0, makespan] exactly.\n";
   os << "# TYPE looplynx_replica_cycles_total counter\n";
   for (std::uint32_t i = 0; i < n; ++i) {
-    for (const char* cat : kCategories) {
+    for (std::size_t c = 0; c < kCategoryCount; ++c) {
       os << "looplynx_replica_cycles_total{replica=\"" << i
-         << "\",category=\"" << cat << "\"} "
-         << per_replica_[i].trace.total(cat) << "\n";
+         << "\",category=\"" << kCategories[c] << "\"} "
+         << per_replica_[i].totals[c] << "\n";
     }
   }
 

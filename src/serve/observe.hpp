@@ -18,7 +18,19 @@
 // trails the replica's last activity is "drain". finalize() asserts the
 // tiling identity — per replica, the category totals sum to the makespan
 // exactly, no gaps, no overlaps (the serve-layer analog of the paper's
-// Fig. 5 span accounting in sim::Trace).
+// Fig. 5 span accounting in sim::Trace). Spans are flat {begin, end, id}
+// records and the totals a fixed per-replica array, so a span costs an
+// append and an add.
+//
+// Log order: the fleet runs on one engine, so records stamped at
+// engine.now() arrive nondecreasing; record() takes exactly those and
+// throws if a stamp goes backwards. The few records stamped off the clock
+// (step records at their computed step end, a migrated request's admit
+// at its first admission) go through record_off_clock(), which keeps them
+// aside with their position in the on-clock log. finalize() sorts only
+// that side buffer and merges it in, ties in recording order: exactly the
+// order a stable sort of the whole log by cycle gives, in O(n + k log k)
+// for n records of which k are off-clock.
 //
 // Determinism rules (DESIGN.md §7): exports are keyed off simulated cycles
 // only — every timestamp is an integer cycle count and every millisecond
@@ -26,14 +38,16 @@
 // emitted bytes are identical across compilers, build modes and re-runs.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace looplynx::serve {
 
@@ -102,6 +116,39 @@ inline constexpr const char* kCategories[] = {
     category::kKvSwap,         category::kPrefill,   category::kRecompute,
     category::kSchedulerIdle,
 };
+inline constexpr std::size_t kCategoryCount = std::size(kCategories);
+
+/// Interned category ids, in kCategories order: the recording hooks take
+/// these, so a span never builds or looks up a name.
+enum class CategoryId : std::uint8_t {
+  kChunkedPrefill,
+  kDecode,
+  kDrain,
+  kHostSync,
+  kKvMigrate,
+  kKvStall,
+  kKvSwap,
+  kPrefill,
+  kRecompute,
+  kSchedulerIdle,
+};
+
+constexpr const char* category_name(CategoryId id) {
+  return kCategories[static_cast<std::size_t>(id)];
+}
+static_assert(category_name(CategoryId::kChunkedPrefill) ==
+                  category::kChunkedPrefill &&
+              category_name(CategoryId::kDecode) == category::kDecode &&
+              category_name(CategoryId::kDrain) == category::kDrain &&
+              category_name(CategoryId::kHostSync) == category::kHostSync &&
+              category_name(CategoryId::kKvMigrate) == category::kKvMigrate &&
+              category_name(CategoryId::kKvStall) == category::kKvStall &&
+              category_name(CategoryId::kKvSwap) == category::kKvSwap &&
+              category_name(CategoryId::kPrefill) == category::kPrefill &&
+              category_name(CategoryId::kRecompute) == category::kRecompute &&
+              category_name(CategoryId::kSchedulerIdle) ==
+                  category::kSchedulerIdle,
+              "CategoryId must index kCategories");
 
 /// One run's observability state. Construct with the run's replica pool
 /// width and clock, attach via FleetSim::run(&obs) (or
@@ -126,14 +173,23 @@ class Observer {
   const std::vector<std::string>& role_names() const { return role_names_; }
 
   // ---- Recording hooks (engine room only; all O(1) bookkeeping) ----
+  /// Records an event stamped on the engine clock. Stamps must be
+  /// nondecreasing across calls; a stamp behind the previous one throws
+  /// std::logic_error (an off-clock stamp belongs in record_off_clock).
   void record(LifecycleEvent kind, sim::Cycles at, std::uint32_t request,
               std::uint32_t replica, std::uint32_t a = 0, std::uint32_t b = 0);
-  /// Attributes [begin, end) of `replica`'s timeline to `category`.
-  void add_span(std::uint32_t replica, const char* cat, sim::Cycles begin,
+  /// Records an event whose stamp may be ahead of, behind or equal to the
+  /// clock. finalize() places it by cycle, after every earlier-recorded
+  /// event of the same cycle and before every later-recorded one.
+  void record_off_clock(LifecycleEvent kind, sim::Cycles at,
+                        std::uint32_t request, std::uint32_t replica,
+                        std::uint32_t a = 0, std::uint32_t b = 0);
+  /// Attributes [begin, end) of `replica`'s timeline to `cat`.
+  void add_span(std::uint32_t replica, CategoryId cat, sim::Cycles begin,
                 sim::Cycles end);
   /// The replica's scheduler parks on its work signal; the span is closed
   /// by end_wait() — or, if the wake never comes, by finalize() as drain.
-  void begin_wait(std::uint32_t replica, const char* cat, sim::Cycles at);
+  void begin_wait(std::uint32_t replica, CategoryId cat, sim::Cycles at);
   void end_wait(std::uint32_t replica, sim::Cycles at);
   /// The replica's scheduler loop exited; [at, makespan] becomes drain.
   void mark_exit(std::uint32_t replica, sim::Cycles at);
@@ -144,19 +200,21 @@ class Observer {
 
   /// Closes open waits and post-exit tails as drain, asserts the tiling
   /// identity (per replica, the category totals sum to `makespan`
-  /// exactly) and stable-sorts the event log by cycle. Throws
+  /// exactly) and merges the off-clock records into the log, which is
+  /// then ordered by cycle, ties in recording order. Throws
   /// std::logic_error on violation or double finalize.
   void finalize(sim::Cycles makespan);
   bool finalized() const { return finalized_; }
   sim::Cycles makespan() const { return makespan_; }
 
   // ---- Inspection (tests and the host-layer breakdown exposure) ----
-  /// The lifecycle log; time-ordered once finalize() has run (step
-  /// records are stamped ahead of the clock, see finalize()).
+  /// The lifecycle log; complete and time-ordered once finalize() has
+  /// run (before that it holds the on-clock records only).
   const std::vector<ObservedEvent>& events() const { return events_; }
-  const sim::Trace& replica_trace(std::uint32_t replica) const;
-  /// Category → cycles for one replica (missing categories are 0 cycles
-  /// and omitted here; the exporters emit them explicitly).
+  /// Category → cycles for one replica, built by finalize(): a category
+  /// is present iff a span of it was ever added, even zero-width (the
+  /// exporters emit absent ones as 0 explicitly). Throws std::logic_error
+  /// before finalize().
   const std::map<std::string, sim::Cycles>& breakdown(
       std::uint32_t replica) const;
 
@@ -173,11 +231,24 @@ class Observer {
   void write_prometheus(std::ostream& os) const;
 
  private:
+  struct Span {
+    sim::Cycles begin = 0;
+    sim::Cycles end = 0;
+    CategoryId id = CategoryId::kDrain;
+  };
+  /// An off-clock record and the number of on-clock records before it.
+  struct OffClock {
+    ObservedEvent event;
+    std::size_t position = 0;
+  };
   struct PerReplica {
-    sim::Trace trace{/*keep_spans=*/true};
+    std::vector<Span> spans;  // nonzero-width spans, in recording order
+    std::array<sim::Cycles, kCategoryCount> totals{};
+    std::array<bool, kCategoryCount> added{};
+    std::map<std::string, sim::Cycles> breakdown;  // built by finalize()
     bool waiting = false;
     sim::Cycles wait_start = 0;
-    std::string wait_category;
+    CategoryId wait_category = CategoryId::kSchedulerIdle;
     bool exited = false;
     sim::Cycles exit_at = 0;
     std::uint64_t kv_capacity_blocks = 0;
@@ -186,6 +257,8 @@ class Observer {
   };
 
   void require_finalized(const char* what) const;
+  /// Merges the off-clock side buffer into the on-clock log (finalize()).
+  void merge_off_clock();
   /// Integer microseconds of a cycle count at the run clock (exact integer
   /// arithmetic — the exporters' only unit conversion).
   std::uint64_t cycles_to_us(sim::Cycles c) const;
@@ -194,7 +267,8 @@ class Observer {
   std::uint64_t frequency_hz_int_;
   std::vector<PerReplica> per_replica_;
   std::vector<std::string> role_names_;  // empty unless disaggregated
-  std::vector<ObservedEvent> events_;
+  std::vector<ObservedEvent> events_;  // on-clock until finalize()
+  std::vector<OffClock> off_clock_;
   bool finalized_ = false;
   sim::Cycles makespan_ = 0;
 };

@@ -217,8 +217,16 @@ void admit_from_queue(Replica& f) {
     f.peak_active = std::max(f.peak_active, f.active);
     f.shared.peak_active = std::max(f.shared.peak_active, f.shared.active);
     if (f.shared.observer != nullptr) {
-      f.shared.observer->record(LifecycleEvent::kAdmit, r->admitted, r->id,
-                                f.id, f.active);
+      // A migrated request's admit carries its first admission's stamp,
+      // behind the clock.
+      if (r->migrated) {
+        f.shared.observer->record_off_clock(LifecycleEvent::kAdmit,
+                                            r->admitted, r->id, f.id,
+                                            f.active);
+      } else {
+        f.shared.observer->record(LifecycleEvent::kAdmit, r->admitted, r->id,
+                                  f.id, f.active);
+      }
     }
     f.ready.push_back(r);
     if (r->migrated || r->stolen) {
@@ -600,8 +608,8 @@ sim::Task scheduler_proc(Replica& f) {
         // nothing to do yet (scheduler-idle). A wait still open at run end
         // is reclassified as drain by Observer::finalize().
         obs->begin_wait(f.id,
-                        f.queue.empty() ? category::kSchedulerIdle
-                                        : category::kKvStall,
+                        f.queue.empty() ? CategoryId::kSchedulerIdle
+                                        : CategoryId::kKvStall,
                         f.engine.now());
       }
       co_await f.work.wait();
@@ -640,7 +648,7 @@ sim::Task scheduler_proc(Replica& f) {
       // Host-side iteration overhead opens the span ledger; together with
       // the placements below and the egress sync tail, the iteration's
       // spans tile [rec.start, rec.start + egress] exactly.
-      obs->add_span(f.id, category::kHostSync, rec.start, rec.start + offset);
+      obs->add_span(f.id, CategoryId::kHostSync, rec.start, rec.start + offset);
     }
     if (f.cache) {
       // Swap transfers accrued since the last iteration (reclaim
@@ -651,7 +659,7 @@ sim::Task scheduler_proc(Replica& f) {
       const sim::Cycles swap = f.cache->take_pending_swap_cycles();
       if (swap > 0) {
         if (obs != nullptr) {
-          obs->add_span(f.id, category::kKvSwap, rec.start + offset,
+          obs->add_span(f.id, CategoryId::kKvSwap, rec.start + offset,
                         rec.start + offset + swap);
         }
         offset += swap;
@@ -665,7 +673,7 @@ sim::Task scheduler_proc(Replica& f) {
       f.pending_migrate_cycles = 0;
       f.migrate_ingest_cycles += mig;
       if (obs != nullptr) {
-        obs->add_span(f.id, category::kKvMigrate, rec.start + offset,
+        obs->add_span(f.id, CategoryId::kKvMigrate, rec.start + offset,
                       rec.start + offset + mig);
       }
       offset += mig;
@@ -681,7 +689,7 @@ sim::Task scheduler_proc(Replica& f) {
       }
       if (!f.decodes.empty()) {
         if (obs != nullptr && decode_group > 0) {
-          obs->add_span(f.id, category::kDecode, rec.start + offset,
+          obs->add_span(f.id, CategoryId::kDecode, rec.start + offset,
                         rec.start + offset + decode_group);
         }
         offset += decode_group;
@@ -712,9 +720,9 @@ sim::Task scheduler_proc(Replica& f) {
                        s.prompt_tokens == r->prompt_remaining();
         }
         if (obs != nullptr && group > 0) {
-          const char* cat = all_recompute ? category::kRecompute
-                            : all_whole   ? category::kPrefill
-                                          : category::kChunkedPrefill;
+          const CategoryId cat = all_recompute ? CategoryId::kRecompute
+                                 : all_whole   ? CategoryId::kPrefill
+                                               : CategoryId::kChunkedPrefill;
           obs->add_span(f.id, cat, rec.start + offset,
                         rec.start + offset + group);
         }
@@ -733,12 +741,12 @@ sim::Task scheduler_proc(Replica& f) {
           // Classified from the request's pre-execution state: a recovery
           // re-prefill is recompute; a chunk covering the whole prompt at
           // once is plain prefill; anything else is chunked prefill.
-          const char* cat =
-              r->recovering ? category::kRecompute
+          const CategoryId cat =
+              r->recovering ? CategoryId::kRecompute
               : (r->prompt_done == 0 &&
                  s.prompt_tokens == r->prompt_remaining())
-                  ? category::kPrefill
-                  : category::kChunkedPrefill;
+                  ? CategoryId::kPrefill
+                  : CategoryId::kChunkedPrefill;
           obs->add_span(f.id, cat, rec.start + offset,
                         rec.start + offset + r->step_cycles);
         }
@@ -768,19 +776,19 @@ sim::Task scheduler_proc(Replica& f) {
     // Tokens become host-visible at batch egress + one PCIe sync.
     const sim::Cycles egress = offset + f.costs.host_sync_cycles();
     if (obs != nullptr && egress > offset) {
-      obs->add_span(f.id, category::kHostSync, rec.start + offset,
+      obs->add_span(f.id, CategoryId::kHostSync, rec.start + offset,
                     rec.start + egress);
     }
     // The scheduler steps every member itself: the pipeline work of each
-    // step is booked now, with observer records stamped at the member's
-    // computed step end (rec.start + step_offset + step_cycles), and the
-    // tokens are emitted at egress. Batch order is pipeline-slot order
-    // (prefill offsets are cumulative and the decode group shares one
-    // slot), and the prefix cache orders its LRU by insertion tick, not
-    // wall time, so booking a step at iteration start is indistinguishable
-    // from booking it at its step end — except that a commit which
-    // dedups hands its private block back to the pool now, where a
-    // kv-aware routing decision made mid-iteration can see it.
+    // step is booked now, with observer records stamped off the clock at
+    // the member's computed step end (rec.start + step_offset +
+    // step_cycles), and the tokens are emitted at egress. Batch order is
+    // pipeline-slot order (prefill offsets are cumulative and the decode
+    // group shares one slot), and the prefix cache orders its LRU by
+    // insertion tick, not wall time, so booking a step at iteration start
+    // is indistinguishable from booking it at its step end — except that
+    // a commit which dedups hands its private block back to the pool now,
+    // where a kv-aware routing decision made mid-iteration can see it.
     for (const ScheduledStep& s : f.batch) {
       Request* r = s.request;
       if (r->step_tokens == 0) {
@@ -790,8 +798,8 @@ sim::Task scheduler_proc(Replica& f) {
       const sim::Cycles step_end =
           rec.start + r->step_offset + r->step_cycles;
       if (obs != nullptr && r->recovering && r->prompt_done == 0) {
-        obs->record(LifecycleEvent::kRecomputeStart, step_end, r->id, f.id,
-                    r->prefill_target());
+        obs->record_off_clock(LifecycleEvent::kRecomputeStart, step_end,
+                              r->id, f.id, r->prefill_target());
       }
       r->prompt_done += r->step_tokens;
       ++r->prefill_chunks;
@@ -807,9 +815,11 @@ sim::Task scheduler_proc(Replica& f) {
                         r->kv, r->cache);
       }
       if (obs != nullptr) {
-        obs->record(r->prefill_chunks == 1 ? LifecycleEvent::kFirstChunk
-                                           : LifecycleEvent::kChunk,
-                    step_end, r->id, f.id, r->step_tokens, r->prompt_done);
+        obs->record_off_clock(r->prefill_chunks == 1
+                                  ? LifecycleEvent::kFirstChunk
+                                  : LifecycleEvent::kChunk,
+                              step_end, r->id, f.id, r->step_tokens,
+                              r->prompt_done);
       }
       if (r->recovering && r->prefilled()) {
         // Post-preemption recompute done: the dropped KV is rebuilt and
@@ -817,8 +827,8 @@ sim::Task scheduler_proc(Replica& f) {
         r->recovering = false;
         --f.recovering;
         if (obs != nullptr) {
-          obs->record(LifecycleEvent::kRecomputeEnd, step_end, r->id, f.id,
-                      r->prompt_done);
+          obs->record_off_clock(LifecycleEvent::kRecomputeEnd, step_end,
+                                r->id, f.id, r->prompt_done);
         }
       }
     }

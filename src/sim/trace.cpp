@@ -1,8 +1,10 @@
 #include "sim/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <type_traits>
 
 namespace looplynx::sim {
 
@@ -89,91 +91,121 @@ void ChromeTraceWriter::finish() {
           "\"timeUnit\":\"1 trace-us == 1 cycle\"}}\n";
 }
 
-std::string ChromeTraceWriter::json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+void ChromeTraceWriter::begin_event() {
+  event_.clear();
+  if (!first_) event_ += ',';
+  first_ = false;
+  event_ += '\n';
+}
+
+template <typename... Parts>
+void ChromeTraceWriter::append(const Parts&... parts) {
+  const auto one = [this](const auto& part) {
+    using Part = std::decay_t<decltype(part)>;
+    if constexpr (std::is_same_v<Part, char>) {
+      event_ += part;
+    } else if constexpr (std::is_integral_v<Part>) {
+      char buf[20];
+      event_.append(buf, std::to_chars(buf, buf + sizeof(buf), part).ptr);
+    } else {
+      event_.append(part);
+    }
+  };
+  (one(parts), ...);
+}
+
+void ChromeTraceWriter::append_escaped(std::string_view s) {
+  // Plain runs are appended whole; only quotes, backslashes and control
+  // characters are expanded.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c != '"' && c != '\\' && c >= 0x20) continue;
+    event_.append(s.substr(run, i - run));
+    run = i + 1;
+    if (c == '"') {
+      event_ += "\\\"";
+    } else if (c == '\\') {
+      event_ += "\\\\";
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+      event_ += buf;
     }
   }
-  return out;
+  event_.append(s.substr(run));
 }
 
-void ChromeTraceWriter::begin_event() {
-  if (!first_) *os_ << ',';
-  first_ = false;
-  *os_ << '\n';
+void ChromeTraceWriter::append_name_cat(std::string_view name,
+                                        std::string_view cat) {
+  append("{\"name\":\"");
+  append_escaped(name);
+  append("\",\"cat\":\"");
+  append_escaped(cat);
+  append('"');
 }
 
-void ChromeTraceWriter::complete(const std::string& name,
-                                 const std::string& cat, std::uint32_t pid,
-                                 std::uint32_t tid, Cycles begin, Cycles end) {
+void ChromeTraceWriter::end_event() {
+  os_->write(event_.data(), static_cast<std::streamsize>(event_.size()));
+}
+
+void ChromeTraceWriter::complete(std::string_view name, std::string_view cat,
+                                 std::uint32_t pid, std::uint32_t tid,
+                                 Cycles begin, Cycles end) {
   if (end < begin) end = begin;
   begin_event();
-  *os_ << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
-       << json_escape(cat) << "\",\"ph\":\"X\",\"pid\":" << pid
-       << ",\"tid\":" << tid << ",\"ts\":" << begin
-       << ",\"dur\":" << (end - begin) << "}";
+  append_name_cat(name, cat);
+  append(",\"ph\":\"X\",\"pid\":", pid, ",\"tid\":", tid, ",\"ts\":", begin,
+         ",\"dur\":", end - begin, '}');
+  end_event();
 }
 
-void ChromeTraceWriter::instant(const std::string& name,
-                                const std::string& cat, std::uint32_t pid,
-                                std::uint32_t tid, Cycles at, char scope) {
+void ChromeTraceWriter::instant(std::string_view name, std::string_view cat,
+                                std::uint32_t pid, std::uint32_t tid,
+                                Cycles at, char scope) {
   begin_event();
-  *os_ << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
-       << json_escape(cat) << "\",\"ph\":\"i\",\"s\":\"" << scope
-       << "\",\"pid\":" << pid << ",\"tid\":" << tid << ",\"ts\":" << at
-       << "}";
+  append_name_cat(name, cat);
+  append(",\"ph\":\"i\",\"s\":\"", scope, "\",\"pid\":", pid, ",\"tid\":",
+         tid, ",\"ts\":", at, '}');
+  end_event();
 }
 
-void ChromeTraceWriter::async_event(char phase, const std::string& name,
-                                    const std::string& cat, std::uint32_t pid,
+void ChromeTraceWriter::async_event(char phase, std::string_view name,
+                                    std::string_view cat, std::uint32_t pid,
                                     std::uint64_t id, Cycles at) {
   begin_event();
-  *os_ << "{\"name\":\"" << json_escape(name) << "\",\"cat\":\""
-       << json_escape(cat) << "\",\"ph\":\"" << phase << "\",\"id\":" << id
-       << ",\"pid\":" << pid << ",\"tid\":0,\"ts\":" << at << "}";
+  append_name_cat(name, cat);
+  append(",\"ph\":\"", phase, "\",\"id\":", id, ",\"pid\":", pid,
+         ",\"tid\":0,\"ts\":", at, '}');
+  end_event();
 }
 
-void ChromeTraceWriter::async_begin(const std::string& name,
-                                    const std::string& cat, std::uint32_t pid,
+void ChromeTraceWriter::async_begin(std::string_view name,
+                                    std::string_view cat, std::uint32_t pid,
                                     std::uint64_t id, Cycles at) {
   async_event('b', name, cat, pid, id, at);
 }
 
-void ChromeTraceWriter::async_instant(const std::string& name,
-                                      const std::string& cat,
-                                      std::uint32_t pid, std::uint64_t id,
-                                      Cycles at) {
+void ChromeTraceWriter::async_instant(std::string_view name,
+                                      std::string_view cat, std::uint32_t pid,
+                                      std::uint64_t id, Cycles at) {
   async_event('n', name, cat, pid, id, at);
 }
 
-void ChromeTraceWriter::async_end(const std::string& name,
-                                  const std::string& cat, std::uint32_t pid,
-                                  std::uint64_t id, Cycles at) {
+void ChromeTraceWriter::async_end(std::string_view name, std::string_view cat,
+                                  std::uint32_t pid, std::uint64_t id,
+                                  Cycles at) {
   async_event('e', name, cat, pid, id, at);
 }
 
 void ChromeTraceWriter::process_name(std::uint32_t pid,
-                                     const std::string& name) {
+                                     std::string_view name) {
   begin_event();
-  *os_ << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
+  append("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":", pid,
+         ",\"tid\":0,\"args\":{\"name\":\"");
+  append_escaped(name);
+  append("\"}}");
+  end_event();
 }
 
 }  // namespace looplynx::sim

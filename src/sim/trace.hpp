@@ -11,6 +11,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -84,41 +85,49 @@ class ChromeTraceWriter {
   ~ChromeTraceWriter();
 
   /// Duration event ("ph":"X") on track (pid, tid) over [begin, end].
-  void complete(const std::string& name, const std::string& cat,
+  void complete(std::string_view name, std::string_view cat,
                 std::uint32_t pid, std::uint32_t tid, Cycles begin,
                 Cycles end);
 
   /// Instant event ("ph":"i"); `scope` is "t" (thread), "p" (process) or
   /// "g" (global).
-  void instant(const std::string& name, const std::string& cat,
+  void instant(std::string_view name, std::string_view cat,
                std::uint32_t pid, std::uint32_t tid, Cycles at,
                char scope = 't');
 
   /// Async span events ("ph":"b"/"n"/"e"), correlated by `id` within
   /// `cat`.
-  void async_begin(const std::string& name, const std::string& cat,
+  void async_begin(std::string_view name, std::string_view cat,
                    std::uint32_t pid, std::uint64_t id, Cycles at);
-  void async_instant(const std::string& name, const std::string& cat,
+  void async_instant(std::string_view name, std::string_view cat,
                      std::uint32_t pid, std::uint64_t id, Cycles at);
-  void async_end(const std::string& name, const std::string& cat,
+  void async_end(std::string_view name, std::string_view cat,
                  std::uint32_t pid, std::uint64_t id, Cycles at);
 
   /// Metadata event naming a process track in the viewer.
-  void process_name(std::uint32_t pid, const std::string& name);
+  void process_name(std::uint32_t pid, std::string_view name);
 
   /// Writes the closing brackets (idempotent; no events may follow).
   void finish();
 
-  /// Escapes a string for embedding in a JSON string literal.
-  static std::string json_escape(const std::string& s);
-
  private:
-  void begin_event();  // comma separation between events
-  void async_event(char phase, const std::string& name,
-                   const std::string& cat, std::uint32_t pid,
-                   std::uint64_t id, Cycles at);
+  /// Starts the next event in the buffer (comma separation).
+  void begin_event();
+  /// Appends each part to the buffered event: strings verbatim, `char`s
+  /// as themselves, other integers in decimal.
+  template <typename... Parts>
+  void append(const Parts&... parts);
+  /// Appends `s` escaped for a JSON string literal.
+  void append_escaped(std::string_view s);
+  /// Appends `{"name":"<name>","cat":"<cat>"` with both escaped.
+  void append_name_cat(std::string_view name, std::string_view cat);
+  /// Writes the buffered event to the stream in one call.
+  void end_event();
+  void async_event(char phase, std::string_view name, std::string_view cat,
+                   std::uint32_t pid, std::uint64_t id, Cycles at);
 
   std::ostream* os_;
+  std::string event_;  // the event being formatted, reused across events
   bool first_ = true;
   bool finished_ = false;
 };

@@ -6,11 +6,13 @@
 // and the CLI flag plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/arch_config.hpp"
@@ -122,7 +124,14 @@ void check_observer_invariants(const Observer& obs) {
     sim::Cycles total = 0;
     for (const auto& [cat, cycles] : obs.breakdown(r)) total += cycles;
     EXPECT_EQ(total, obs.makespan()) << "replica " << r;
-    EXPECT_EQ(obs.replica_trace(r).grand_total(), obs.makespan());
+    // The same sum taken over the canonical category list: every key of
+    // the breakdown is one of kCategories.
+    sim::Cycles canonical = 0;
+    for (const char* cat : kCategories) {
+      const auto it = obs.breakdown(r).find(cat);
+      if (it != obs.breakdown(r).end()) canonical += it->second;
+    }
+    EXPECT_EQ(canonical, obs.makespan()) << "replica " << r;
   }
   // Event-log ordering.
   sim::Cycles prev = 0;
@@ -223,10 +232,10 @@ TEST(ObserverTest, LifecycleEventNamesAreStable) {
 TEST(ObserverTest, WaitPairingMisuseThrows) {
   Observer obs(1, 285e6);
   EXPECT_THROW(obs.end_wait(0, 10), std::logic_error);  // no open wait
-  obs.begin_wait(0, category::kSchedulerIdle, 0);
-  EXPECT_THROW(obs.begin_wait(0, category::kKvStall, 5), std::logic_error);
+  obs.begin_wait(0, CategoryId::kSchedulerIdle, 0);
+  EXPECT_THROW(obs.begin_wait(0, CategoryId::kKvStall, 5), std::logic_error);
   obs.end_wait(0, 10);
-  EXPECT_NO_THROW(obs.begin_wait(0, category::kKvStall, 10));
+  EXPECT_NO_THROW(obs.begin_wait(0, CategoryId::kKvStall, 10));
 }
 
 TEST(ObserverTest, ExportBeforeFinalizeThrows) {
@@ -241,13 +250,92 @@ TEST(ObserverTest, ExportBeforeFinalizeThrows) {
 
 TEST(ObserverTest, FinalizeAssertsTheTilingIdentity) {
   Observer obs(1, 285e6);
-  obs.add_span(0, category::kDecode, 0, 50);  // 50-cycle gap to makespan...
+  obs.add_span(0, CategoryId::kDecode, 0, 50);  // 50-cycle gap to makespan...
   EXPECT_THROW(obs.finalize(100), std::logic_error);
   Observer ok(1, 285e6);
-  ok.add_span(0, category::kDecode, 0, 50);
+  ok.add_span(0, CategoryId::kDecode, 0, 50);
   ok.mark_exit(0, 50);  // ...unless the tail is accounted as drain
   ok.finalize(100);
   EXPECT_EQ(ok.breakdown(0).at(category::kDrain), 50u);
+}
+
+/// Records `log` in order — on-clock entries through record(), the rest
+/// through record_off_clock() — with each event's recording index in its
+/// `a` payload, finalizes, and checks the result is exactly the
+/// permutation a stable sort of the recording order by cycle produces.
+void expect_finalize_matches_stable_sort(
+    const std::vector<std::pair<sim::Cycles, bool>>& log) {
+  Observer obs(1, 285e6);
+  std::vector<ObservedEvent> expected;
+  for (std::uint32_t i = 0; i < log.size(); ++i) {
+    const auto [at, on_clock] = log[i];
+    if (on_clock) {
+      obs.record(LifecycleEvent::kDecode, at, 7, 0, i);
+    } else {
+      obs.record_off_clock(LifecycleEvent::kChunk, at, 7, 0, i);
+    }
+    expected.push_back(ObservedEvent{at, LifecycleEvent::kDecode, 7, 0, i});
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const ObservedEvent& x, const ObservedEvent& y) {
+                     return x.at < y.at;
+                   });
+  obs.finalize(0);
+  ASSERT_EQ(obs.events().size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(obs.events()[i].a, expected[i].a) << "position " << i;
+    ASSERT_EQ(obs.events()[i].at, expected[i].at) << "position " << i;
+  }
+}
+
+TEST(ObserverTest, FinalizeOrderMatchesStableSort) {
+  expect_finalize_matches_stable_sort({});
+  expect_finalize_matches_stable_sort({{5, true}});
+  expect_finalize_matches_stable_sort({{5, false}});
+  expect_finalize_matches_stable_sort({{1, true}, {1, true}, {4, true}});
+  expect_finalize_matches_stable_sort({{9, false}, {3, false}, {3, false}});
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    // Small clock steps and a narrow off-clock window so equal cycles —
+    // within each list and across the two — are common.
+    const std::uint64_t n = rng.next_below(300);
+    const std::uint64_t off_share = rng.next_below(5);  // 0 = none, 4 = all
+    std::vector<std::pair<sim::Cycles, bool>> log;
+    sim::Cycles clock = 20;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      clock += rng.next_below(3);
+      if (off_share == 0 || (off_share < 4 && rng.next_below(4) >= off_share)) {
+        log.emplace_back(clock, true);
+        continue;
+      }
+      // Ahead of the clock, behind it, or on it.
+      const sim::Cycles skew = rng.next_below(12);
+      switch (rng.next_below(3)) {
+        case 0:
+          log.emplace_back(clock + skew, false);
+          break;
+        case 1:
+          log.emplace_back(clock - skew, false);
+          break;
+        default:
+          log.emplace_back(clock, false);
+      }
+    }
+    expect_finalize_matches_stable_sort(log);
+  }
+}
+
+TEST(ObserverTest, OnClockStampGoingBackwardsThrows) {
+  Observer obs(1, 285e6);
+  obs.record(LifecycleEvent::kArrive, 10, 0, 0);
+  obs.record(LifecycleEvent::kAdmit, 10, 0, 0);  // equal stamps are fine
+  EXPECT_THROW(obs.record(LifecycleEvent::kFirstToken, 9, 0, 0),
+               std::logic_error);
+  // An off-clock stamp behind the clock is what record_off_clock is for.
+  EXPECT_NO_THROW(
+      obs.record_off_clock(LifecycleEvent::kChunk, 9, 0, 0, 4, 4));
+  EXPECT_NO_THROW(obs.record(LifecycleEvent::kFirstToken, 12, 0, 0));
 }
 
 // ------------------------------------- Observed runs and the tiling law

@@ -316,8 +316,14 @@ TEST(TraceTest, ChromeExportEmitsIntegerCycleTimestamps) {
 }
 
 TEST(TraceTest, ChromeTraceWriterEscapesJsonStrings) {
-  EXPECT_EQ(ChromeTraceWriter::json_escape("a\"b\\c\nd"),
-            "a\\\"b\\\\c\\u000ad");
+  std::ostringstream os;
+  {
+    ChromeTraceWriter writer(os);
+    writer.process_name(0, "a\"b\\c\nd");
+  }
+  EXPECT_NE(os.str().find("{\"name\":\"a\\\"b\\\\c\\u000ad\"}"),
+            std::string::npos)
+      << os.str();
 }
 
 TEST(TraceTest, ScopedSpanRecordsElapsedEngineCycles) {
