@@ -573,11 +573,6 @@ sim::Task autoscaler_proc(FleetRun& run) {
   }
 }
 
-template <typename T>
-void append(std::vector<T>& pool, const std::vector<T>& samples) {
-  pool.insert(pool.end(), samples.begin(), samples.end());
-}
-
 /// Occupied replica-cycles of one replica: the union of its live intervals
 /// (from its tier's scale timeline), each extended to the drain instant of
 /// the requests routed into it — a deactivated replica is still consuming
@@ -642,25 +637,26 @@ std::uint64_t occupied_cycles(
 }
 
 /// The multi-replica fleet rollup's first half, read from the replicas'
-/// live state BEFORE finalize_metrics moves each one's sample vectors into
-/// its own summary: latency percentiles over every replica's pooled
-/// samples, summed counters, the fleet-wide in-flight peak.
+/// live state BEFORE finalize_metrics summarizes and releases each one's
+/// latency tables: latency percentiles over the merged replica tables (and
+/// the pooled per-request token latencies), summed counters, the
+/// fleet-wide in-flight peak.
 FleetMetrics pool_samples(FleetRun& run, const FleetConfig& cfg,
                           sim::Cycles makespan) {
   const core::ArchConfig& arch = cfg.replicas.front().arch;
   const double duration_s = static_cast<double>(makespan) / arch.frequency_hz;
   std::vector<double> token;
-  std::vector<sim::Cycles> ttft, e2e, queue_wait, gap;
+  util::CountTable ttft, e2e, queue_wait, gap;
   std::uint64_t good = 0;
   sim::Cycles busy = 0, decode_stall = 0, recompute = 0;
   FleetMetrics m;
   double batch_members = 0;
   for (const auto& r : run.replicas) {
-    append(ttft, r->ttft_cycles);
-    append(token, r->token_ms);
-    append(e2e, r->e2e_cycles);
-    append(queue_wait, r->queue_wait_cycles);
-    append(gap, r->gap_cycles);
+    ttft.merge(r->ttft_cycles);
+    token.insert(token.end(), r->token_ms.begin(), r->token_ms.end());
+    e2e.merge(r->e2e_cycles);
+    queue_wait.merge(r->queue_wait_cycles);
+    gap.merge(r->gap_cycles);
     good += r->good;
     busy += r->busy_cycles;
     decode_stall += r->decode_stall_cycles;
@@ -824,7 +820,7 @@ FleetResult FleetSim::run(Observer* observer) const {
   result.routed.reserve(n);
   for (const auto& r : run.replicas) result.routed.push_back(r->routed);
   // A lone replica's finalized metrics already are the fleet rollup: reuse
-  // them instead of pooling (and re-sorting) every latency sample again.
+  // them instead of merging its latency tables into copies.
   const bool pooled = n > 1;
   if (pooled) result.fleet = pool_samples(run, config_, makespan);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "serve/observe.hpp"
 
@@ -76,10 +77,10 @@ void Replica::record_completion(Request& r) {
       r.decoded > 0 ? ms(r.completed - r.first_token) /
                           static_cast<double>(r.decoded)
                     : 0.0;
-  ttft_cycles.push_back(r.first_token - r.arrival);
+  ttft_cycles.add(r.first_token - r.arrival);
   token_ms.push_back(token);
-  e2e_cycles.push_back(r.completed - r.arrival);
-  queue_wait_cycles.push_back(r.admitted - r.arrival);
+  e2e_cycles.add(r.completed - r.arrival);
+  queue_wait_cycles.add(r.admitted - r.arrival);
   if (ttft <= cfg.slo.ttft_ms && token <= cfg.slo.token_ms) ++good;
   if (shared.observer != nullptr) {
     shared.observer->record(LifecycleEvent::kFinish, engine.now(), r.id, id,
@@ -859,7 +860,7 @@ sim::Task scheduler_proc(Replica& f) {
         if (r->emitted_token) {
           const sim::Cycles gap = now - r->last_token;
           r->max_token_gap = std::max(r->max_token_gap, gap);
-          f.gap_cycles.push_back(gap);
+          f.gap_cycles.add(gap);
         }
         r->emitted_token = true;
         r->last_token = now;
@@ -912,35 +913,10 @@ sim::Task scheduler_proc(Replica& f) {
   if (obs != nullptr) obs->mark_exit(f.id, f.engine.now());
 }
 
-util::PercentileSummary cycle_summary_ms(std::vector<sim::Cycles> cycles,
+util::PercentileSummary cycle_summary_ms(util::CountTable cycles,
                                          const core::ArchConfig& arch) {
-  util::PercentileSummary s;
-  if (cycles.empty()) return s;
-  util::radix_sort(cycles);
-  // cycles_to_ms multiplies by a positive constant — monotone, so the
-  // converted values come out ascending-sorted and every accumulation
-  // below sees exactly the sequence percentile_summary would have built:
-  // the mean sums the converted samples in ascending order, and each
-  // percentile interpolates between the two converted neighbors. No
-  // intermediate double vector is materialized (for the inter-token gap
-  // series that vector would be millions of elements).
-  double sum = 0.0;
-  for (sim::Cycles c : cycles) sum += arch.cycles_to_ms(c);
-  s.count = cycles.size();
-  s.mean = sum / static_cast<double>(cycles.size());
-  const auto interp = [&](double p) {
-    const double rank =
-        (p / 100.0) * static_cast<double>(cycles.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const auto hi = std::min(lo + 1, cycles.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return arch.cycles_to_ms(cycles[lo]) * (1.0 - frac) +
-           arch.cycles_to_ms(cycles[hi]) * frac;
-  };
-  s.p50 = interp(50.0);
-  s.p95 = interp(95.0);
-  s.p99 = interp(99.0);
-  return s;
+  return cycles.summary(
+      [&arch](sim::Cycles c) { return arch.cycles_to_ms(c); });
 }
 
 FleetMetrics finalize_metrics(Replica& f) {
@@ -968,12 +944,14 @@ FleetMetrics finalize_metrics(Replica& f) {
                       static_cast<double>(f.engine.now());
   }
   m.slo_good = f.good;
-  m.ttft_ms = cycle_summary_ms(std::move(f.ttft_cycles), f.cfg.arch);
+  // std::exchange releases each table as it is summarized.
+  m.ttft_ms = cycle_summary_ms(std::exchange(f.ttft_cycles, {}), f.cfg.arch);
   m.token_ms = util::percentile_summary(std::move(f.token_ms));
-  m.e2e_ms = cycle_summary_ms(std::move(f.e2e_cycles), f.cfg.arch);
+  m.e2e_ms = cycle_summary_ms(std::exchange(f.e2e_cycles, {}), f.cfg.arch);
   m.queue_wait_ms =
-      cycle_summary_ms(std::move(f.queue_wait_cycles), f.cfg.arch);
-  m.inter_token_gap_ms = cycle_summary_ms(std::move(f.gap_cycles), f.cfg.arch);
+      cycle_summary_ms(std::exchange(f.queue_wait_cycles, {}), f.cfg.arch);
+  m.inter_token_gap_ms =
+      cycle_summary_ms(std::exchange(f.gap_cycles, {}), f.cfg.arch);
   m.iterations = f.sched.iteration_count();
   m.mean_batch_size = f.sched.mean_batch_size();
   m.prefill_chunk_steps = f.prefill_chunk_steps;

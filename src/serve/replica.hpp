@@ -257,14 +257,15 @@ struct Replica {
   /// the request's decode count, so there is no single integer key whose
   /// order matches the converted values.
   std::vector<double> token_ms;
-  /// TTFT / end-to-end / queue-wait spans and inter-token gaps, kept in raw
-  /// cycles and summarized through cycle_summary_ms — the integers
-  /// radix-sort in O(n) where the legacy per-sample ms doubles paid a
-  /// comparison sort that dominated finalize.
-  std::vector<sim::Cycles> ttft_cycles, e2e_cycles, queue_wait_cycles;
-  /// Gaps between consecutive host-visible tokens, pooled replica-wide
-  /// (one sample per decode-class token, the largest population by far).
-  std::vector<sim::Cycles> gap_cycles;
+  /// TTFT / end-to-end / queue-wait spans and inter-token gaps, in raw
+  /// cycles, as exact count tables: one entry per distinct cycle value, not
+  /// one per sample. Summarized through cycle_summary_ms and released by
+  /// finalize_metrics; the fleet rollup merges them first.
+  util::CountTable ttft_cycles, e2e_cycles, queue_wait_cycles;
+  /// Gaps between consecutive host-visible tokens, replica-wide (one
+  /// sample per decode-class token, the largest population by far, but
+  /// few distinct values).
+  util::CountTable gap_cycles;
 
   /// Requests routed here and not yet finished or rejected — the "queued +
   /// running" load the join-shortest-queue balancer compares. Counted from
@@ -329,18 +330,18 @@ sim::Task steal_proc(Replica& thief, Replica& victim, Request& r);
 /// later step, so a per-request process would only enqueue and exit.
 void enqueue_request_event(void* replica, void* request);
 
-/// Builds this replica's FleetMetrics after engine.run() returned. Moves
-/// the latency sample vectors out of the replica — a fleet that pools
-/// samples across replicas must copy them first.
+/// Builds this replica's FleetMetrics after engine.run() returned, and
+/// releases the cycle-domain latency tables once summarized — a fleet
+/// rollup must merge them first.
 FleetMetrics finalize_metrics(Replica& f);
 
 /// Percentile summary of integer cycle-domain latency samples, reported in
-/// milliseconds. Radix-sorts the cycles and converts ascending: cycles_to_ms
-/// is a monotone non-decreasing map, so the converted sequence is exactly
-/// the ascending-sorted ms sequence and the mean/percentile arithmetic
+/// milliseconds. cycles_to_ms is a monotone non-decreasing map, so walking
+/// the table's distinct cycle values in ascending order visits the
+/// ascending-sorted ms sequence, and the mean/percentile arithmetic
 /// reproduces util::percentile_summary over the per-sample ms values bit
-/// for bit — at O(n) instead of a comparison sort over millions of doubles.
-util::PercentileSummary cycle_summary_ms(std::vector<sim::Cycles> cycles,
+/// for bit — at O(distinct) conversions, with no per-sample buffer.
+util::PercentileSummary cycle_summary_ms(util::CountTable cycles,
                                          const core::ArchConfig& arch);
 
 /// Open-loop injector: replays the pre-generated arrival schedule, asking

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 
 namespace looplynx::util {
 
@@ -123,6 +124,57 @@ void radix_sort(std::vector<std::uint64_t>& keys) {
     std::swap(src, dst);
   }
   if (src != &keys) keys.swap(buf);
+}
+
+void CountTable::merge(const CountTable& other) {
+  merge_runs(other.runs_.data(), other.runs_.data() + other.runs_.size());
+  counted_ += other.counted_;
+  for (std::uint64_t v : other.pending_) add(v);
+}
+
+void CountTable::flush() {
+  if (pending_.empty()) return;
+  radix_sort(pending_);
+  std::vector<Run> batch;
+  for (std::uint64_t v : pending_) {
+    if (!batch.empty() && batch.back().value == v) {
+      ++batch.back().count;
+    } else {
+      batch.push_back({v, 1});
+    }
+  }
+  counted_ += pending_.size();
+  pending_.clear();
+  merge_runs(batch.data(), batch.data() + batch.size());
+}
+
+void CountTable::merge_runs(const Run* from, const Run* to) {
+  std::vector<Run> merged;
+  merged.reserve(runs_.size() + static_cast<std::size_t>(to - from));
+  auto it = runs_.cbegin();
+  while (it != runs_.cend() && from != to) {
+    if (it->value < from->value) {
+      merged.push_back(*it++);
+    } else if (from->value < it->value) {
+      merged.push_back(*from++);
+    } else {
+      merged.push_back({it->value, it->count + from->count});
+      ++it;
+      ++from;
+    }
+  }
+  merged.insert(merged.end(), it, runs_.cend());
+  merged.insert(merged.end(), from, to);
+  runs_.swap(merged);
+}
+
+std::uint64_t CountTable::at(std::uint64_t rank) const {
+  std::uint64_t through = 0;  // samples in the runs walked so far
+  for (const Run& r : runs_) {
+    through += r.count;
+    if (rank < through) return r.value;
+  }
+  throw std::out_of_range("CountTable::at: rank past the last sample");
 }
 
 void SlidingWindow::push(double at, double value) {

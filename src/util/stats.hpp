@@ -1,6 +1,7 @@
 // Small statistics helpers shared by benchmarks and reports.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -45,10 +46,85 @@ PercentileSummary percentile_summary(std::vector<double> values);
 PercentileSummary percentile_summary_presorted(std::span<const double> sorted);
 
 /// In-place ascending LSD radix sort (16-bit digits, high passes skipped
-/// once the maximum key is exhausted). The serve layer's million-sample
-/// cycle-domain latency vectors sort here in O(n) instead of O(n log n);
+/// once the maximum key is exhausted): O(n) instead of O(n log n) for
+/// CountTable's pending batches and perfbench's replay of the gap series;
 /// small inputs fall back to std::sort.
 void radix_sort(std::vector<std::uint64_t>& keys);
+
+/// Exact multiset of u64 samples (the serve layer's cycle-domain latency
+/// series), held as ascending (value, count) runs: one entry per distinct
+/// value instead of one per sample. add() appends to a pending buffer; a
+/// full buffer is radix-sorted, run-length encoded and merged linearly
+/// into the runs. The buffer flushes at max(kBatch, distinct) samples, so
+/// merge work stays amortized O(1) per sample even when every sample is
+/// distinct. There is no bucketing: summary() is bit-identical to
+/// percentile_summary over the converted samples.
+class CountTable {
+ public:
+  /// Smallest pending batch: large enough that one radix sort and one
+  /// linear merge amortize over many samples, small enough to stay cached.
+  static constexpr std::size_t kBatch = std::size_t{1} << 16;
+
+  void add(std::uint64_t value) {
+    pending_.push_back(value);
+    if (pending_.size() >= std::max(kBatch, runs_.size())) flush();
+  }
+
+  /// Adds every sample of `other` (a different table) in O(distinct of
+  /// both tables).
+  void merge(const CountTable& other);
+
+  /// Mean, p50, p95 and p99 of to_value(sample) over every sample, where
+  /// `to_value` is non-decreasing, with percentile_summary's arithmetic:
+  /// the mean adds to_value(v) once per sample in ascending order (never
+  /// count * to_value(v), which rounds differently), and each percentile
+  /// interpolates between the samples at its two neighbouring ranks, read
+  /// from the cumulative counts.
+  template <typename ToValue>
+  PercentileSummary summary(ToValue to_value);
+
+ private:
+  struct Run {
+    std::uint64_t value = 0;
+    std::uint64_t count = 0;
+  };
+
+  /// Folds the pending samples into runs_.
+  void flush();
+  /// Merges ascending distinct runs [from, to) into runs_.
+  void merge_runs(const Run* from, const Run* to);
+  /// The rank-th smallest sample (0-based) of a flushed, non-empty table.
+  std::uint64_t at(std::uint64_t rank) const;
+
+  std::vector<std::uint64_t> pending_;
+  std::vector<Run> runs_;
+  std::uint64_t counted_ = 0;  // samples held in runs_
+};
+
+template <typename ToValue>
+PercentileSummary CountTable::summary(ToValue to_value) {
+  flush();
+  PercentileSummary s;
+  if (counted_ == 0) return s;
+  double sum = 0.0;
+  for (const Run& r : runs_) {
+    const double x = to_value(r.value);
+    for (std::uint64_t k = 0; k < r.count; ++k) sum += x;
+  }
+  s.count = counted_;
+  s.mean = sum / static_cast<double>(counted_);
+  const auto interp = [&](double p) {
+    const double rank = (p / 100.0) * static_cast<double>(counted_ - 1);
+    const auto lo = static_cast<std::uint64_t>(rank);
+    const auto hi = std::min(lo + 1, counted_ - 1);
+    const double frac = rank - static_cast<double>(lo);
+    return to_value(at(lo)) * (1.0 - frac) + to_value(at(hi)) * frac;
+  };
+  s.p50 = interp(50.0);
+  s.p95 = interp(95.0);
+  s.p99 = interp(99.0);
+  return s;
+}
 
 /// Ascending sort of doubles, radix-accelerated when every value is
 /// finite and non-negative with a clear sign bit (IEEE-754 orders such

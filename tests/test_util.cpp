@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -116,6 +117,114 @@ TEST(StatsTest, RunningStatMatchesBatch) {
   EXPECT_NEAR(rs.stddev(), stddev(vals), 1e-12);
   EXPECT_DOUBLE_EQ(rs.min(), 1.0);
   EXPECT_DOUBLE_EQ(rs.max(), 9.0);
+}
+
+/// core::ArchConfig::cycles_to_ms at 285 MHz: non-decreasing, and its
+/// values are rarely exact in binary, so summation order shows.
+double ms_at_285mhz(std::uint64_t c) {
+  return static_cast<double>(c) / 285e6 * 1e3;
+}
+
+/// The per-sample path CountTable replaces: sort the cycles, convert every
+/// sample, summarize the ascending milliseconds.
+PercentileSummary sorted_sample_summary(std::vector<std::uint64_t> cycles) {
+  radix_sort(cycles);
+  std::vector<double> ms;
+  ms.reserve(cycles.size());
+  for (std::uint64_t c : cycles) ms.push_back(ms_at_285mhz(c));
+  return percentile_summary_presorted(ms);
+}
+
+void expect_bit_identical(const PercentileSummary& got,
+                          const PercentileSummary& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.mean, want.mean);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p95, want.p95);
+  EXPECT_EQ(got.p99, want.p99);
+}
+
+enum class Draw { kAllEqual, kHeavyTies, kLatencyLike, kAllDistinct };
+
+/// `n` cycle samples in random order. kLatencyLike is the serve layer's
+/// shape: nine in ten samples fall on a few hundred common values, the
+/// rest on a long tail.
+std::vector<std::uint64_t> draw_cycles(Rng& rng, Draw draw, std::size_t n) {
+  std::vector<std::uint64_t> v(n);
+  const std::uint64_t base = 1'000'000 + rng.next_below(1'000'000);
+  std::uint64_t walk = base;
+  for (std::uint64_t& c : v) {
+    switch (draw) {
+      case Draw::kAllEqual: c = base; break;
+      case Draw::kHeavyTies: c = base + rng.next_below(37) * 4'099; break;
+      case Draw::kLatencyLike:
+        c = rng.next_below(10) != 0 ? base + rng.next_below(300) * 1'117
+                                    : rng.next_below(std::uint64_t{1} << 40);
+        break;
+      case Draw::kAllDistinct: c = walk += 1 + rng.next_below(1'000); break;
+    }
+  }
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(v[i - 1], v[rng.next_below(i)]);
+  }
+  return v;
+}
+
+TEST(CountTableTest, EmptyTableIsAllZero) {
+  CountTable t;
+  expect_bit_identical(t.summary(ms_at_285mhz), sorted_sample_summary({}));
+  EXPECT_EQ(t.summary(ms_at_285mhz).count, 0u);
+}
+
+TEST(CountTableTest, MatchesSortedSamplePathBitForBit) {
+  constexpr std::size_t kBatch = CountTable::kBatch;
+  const std::size_t sizes[] = {1,          2,      3,          kBatch - 1,
+                               kBatch,     kBatch + 1, 3 * kBatch + 7};
+  for (Draw draw : {Draw::kAllEqual, Draw::kHeavyTies, Draw::kLatencyLike,
+                    Draw::kAllDistinct}) {
+    for (std::size_t n : sizes) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", draw " +
+                     std::to_string(static_cast<int>(draw)) + ", n " +
+                     std::to_string(n));
+        Rng rng(seed);
+        const std::vector<std::uint64_t> cycles = draw_cycles(rng, draw, n);
+        CountTable t;
+        for (std::uint64_t c : cycles) t.add(c);
+        expect_bit_identical(t.summary(ms_at_285mhz),
+                             sorted_sample_summary(cycles));
+      }
+    }
+  }
+}
+
+TEST(CountTableTest, MergeInAnyOrderMatchesConcatenation) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::size_t parts = 1 + rng.next_below(5);
+    std::vector<CountTable> tables(parts);
+    std::vector<std::uint64_t> all;
+    for (CountTable& t : tables) {
+      const auto draw = static_cast<Draw>(rng.next_below(4));
+      const std::size_t n = rng.next_below(2 * CountTable::kBatch + 3);
+      for (std::uint64_t c : draw_cycles(rng, draw, n)) {
+        t.add(c);
+        all.push_back(c);
+      }
+    }
+    std::vector<std::size_t> order(parts);
+    for (std::size_t i = 0; i < parts; ++i) order[i] = i;
+    for (std::size_t i = parts; i > 1; --i) {
+      std::swap(order[i - 1], order[rng.next_below(i)]);
+    }
+    // Merge into a copy of one part, so the receiving table already holds
+    // both folded runs and pending samples.
+    CountTable merged = tables[order.front()];
+    for (std::size_t i = 1; i < parts; ++i) merged.merge(tables[order[i]]);
+    expect_bit_identical(merged.summary(ms_at_285mhz),
+                         sorted_sample_summary(all));
+  }
 }
 
 TEST(RngTest, DeterministicForSameSeed) {
