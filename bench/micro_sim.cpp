@@ -1,10 +1,11 @@
 // Microbenchmarks of the discrete-event simulation engine itself: event
 // throughput, FIFO hand-off cost, and full-token simulation rates. These
-// bound how long the table/figure harnesses take. BM_PrefixCacheReclaim
-// and BM_ObserverRecordFinalize time one serve-layer component each in
-// isolation: the prefix cache's victim pick as the number of cached
-// blocks grows, and the observer's recording plus finalize as its log
-// grows.
+// bound how long the table/figure harnesses take. BM_PrefixCacheReclaim,
+// BM_ObserverRecordFinalize and BM_CycleSummary time one serve-layer
+// component each in isolation: the prefix cache's victim pick as the
+// number of cached blocks grows, the observer's recording plus finalize
+// as its log grows, and a latency series' insert plus summary as its
+// sample count grows.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,10 +19,12 @@
 #include "model/config.hpp"
 #include "serve/kv_block.hpp"
 #include "serve/observe.hpp"
+#include "serve/replica.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo.hpp"
 #include "sim/task.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -176,6 +179,80 @@ BENCHMARK(BM_ObserverRecordFinalize)
     ->Arg(100'000)
     ->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond);
+
+/// An inter-token gap series of `n` samples. Repeat-heavy (draw 0) is
+/// shaped like fleet-mixed's at seed 1 (15.7M gaps, 475k distinct values):
+/// 97% of samples fall on 2 000 common step lengths, 3% on a long tail.
+/// All-distinct (draw 1) is the worst case for a count table: an odd
+/// multiplier permutes the low 32 bits, so every sample is new.
+std::vector<std::uint64_t> gap_draw(std::uint64_t n, bool all_distinct) {
+  util::Rng rng(11);
+  std::vector<std::uint64_t> v(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    if (all_distinct) {
+      v[i] = (i * 2'654'435'761u) & 0xffff'ffffu;
+    } else {
+      v[i] = rng.next_below(100) < 97
+                 ? 1'500'000 + rng.next_below(2'000) * 997
+                 : rng.next_below(std::uint64_t{1} << 26);
+    }
+  }
+  return v;
+}
+
+/// Inserts a gap series into a count table and summarizes it through
+/// cycle_summary_ms: the serve layer's per-series cost from first sample
+/// to report.
+void BM_CycleSummary(benchmark::State& state) {
+  const std::vector<std::uint64_t> draw =
+      gap_draw(static_cast<std::uint64_t>(state.range(0)), state.range(1));
+  const core::ArchConfig arch = core::ArchConfig::one_node();
+  for (auto _ : state) {
+    util::CountTable table;
+    for (std::uint64_t c : draw) table.add(c);
+    benchmark::DoNotOptimize(
+        serve::detail::cycle_summary_ms(std::move(table), arch));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetLabel(state.range(1) ? "all distinct" : "repeat-heavy");
+}
+
+/// BM_CycleSummary's per-sample baseline on the same draw: one vector
+/// entry per sample, radix-sorted, every sample converted in the mean.
+void BM_CycleSummaryVector(benchmark::State& state) {
+  const std::vector<std::uint64_t> draw =
+      gap_draw(static_cast<std::uint64_t>(state.range(0)), state.range(1));
+  const core::ArchConfig arch = core::ArchConfig::one_node();
+  for (auto _ : state) {
+    std::vector<std::uint64_t> cycles;
+    for (std::uint64_t c : draw) cycles.push_back(c);
+    util::radix_sort(cycles);
+    double sum = 0.0;
+    for (std::uint64_t c : cycles) sum += arch.cycles_to_ms(c);
+    const auto at = [&](double p) {
+      const double rank =
+          (p / 100.0) * static_cast<double>(cycles.size() - 1);
+      const auto lo = static_cast<std::size_t>(rank);
+      const auto hi = std::min(lo + 1, cycles.size() - 1);
+      const double frac = rank - static_cast<double>(lo);
+      return arch.cycles_to_ms(cycles[lo]) * (1.0 - frac) +
+             arch.cycles_to_ms(cycles[hi]) * frac;
+    };
+    benchmark::DoNotOptimize(sum / static_cast<double>(cycles.size()) +
+                             at(50.0) + at(95.0) + at(99.0));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetLabel(state.range(1) ? "all distinct" : "repeat-heavy");
+}
+
+void cycle_summary_args(benchmark::internal::Benchmark* b) {
+  for (std::int64_t n : {1'000'000, 16'000'000}) {
+    for (std::int64_t all_distinct : {0, 1}) b->Args({n, all_distinct});
+  }
+  b->Unit(benchmark::kMillisecond);
+}
+BENCHMARK(BM_CycleSummary)->Apply(cycle_summary_args);
+BENCHMARK(BM_CycleSummaryVector)->Apply(cycle_summary_args);
 
 }  // namespace
 
