@@ -1,7 +1,10 @@
 // Seed-sweep property harness for the serve layer: runs the
-// {batch policy x preempt policy x balancer x autoscale} matrix over a
-// spread of traffic seeds and asserts *structural* invariants after every
-// run — properties that must hold for any config, not pinned outcomes.
+// {batch policy x preempt policy x balancer x autoscale} matrix, plus
+// prefix-cache points (chat traffic, with and without KV swap) and
+// disaggregated prefill/decode points (KV migration, per-tier
+// autoscaling), over a spread of traffic seeds and asserts *structural*
+// invariants after every run — properties that must hold for any config,
+// not pinned outcomes.
 //
 // The invariants:
 //  - Request conservation: every injected request is accounted for at the
@@ -82,9 +85,10 @@ struct MatrixPoint {
   std::vector<std::uint32_t> tier_max = {};
 };
 
-/// The matrix: every batch policy, both preempt policies, every balancer,
-/// autoscaling off and on (all three scale policies) — 9 points x 5 seeds
-/// = 45 runs, comfortably past the 24-combination floor.
+/// The matrix: every batch policy, every preempt policy, every balancer,
+/// autoscaling off and on (all three scale policies), the prefix cache
+/// and the disaggregated roles — 17 points x 5 seeds = 85 runs,
+/// comfortably past the 24-combination floor.
 std::vector<MatrixPoint> matrix() {
   std::vector<MatrixPoint> points;
   points.push_back({.name = "prefill-static-jsq",
