@@ -5,6 +5,7 @@
 //   4. inter-FPGA hop latency (ring sensitivity at 4 nodes)
 //   5. KV-cache channel count (MHA bound)
 #include <iostream>
+#include <string>
 
 #include "bench/bench_common.hpp"
 #include "core/system.hpp"
@@ -41,11 +42,13 @@ int main(int argc, char** argv) {
       arch.headwise_pipeline = mask & 2;
       arch.hide_network_sync = mask & 4;
       const double ms = run_ms(arch, model, opt);
+      // Appended: GCC 12 misreads `"lit" + std::string&&` (-Wrestrict).
+      std::string vs_best = "+";
+      vs_best += util::fmt_percent(ms / best - 1.0);
       t.add_row({arch.fuse_ln_res ? "on" : "off",
                  arch.headwise_pipeline ? "on" : "off",
                  arch.hide_network_sync ? "on" : "off",
-                 util::fmt_fixed(ms, 3),
-                 "+" + util::fmt_percent(ms / best - 1.0)});
+                 util::fmt_fixed(ms, 3), vs_best});
     }
     t.render(std::cout);
   }

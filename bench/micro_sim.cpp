@@ -141,13 +141,16 @@ std::vector<ObservedStep> observed_log(std::uint64_t n) {
 
 /// Records N events (plus one iteration's three spans per 8 events,
 /// round-robin over 5 replicas), then finalizes: the observer's whole
-/// cost on an observed run apart from the exporters.
-void BM_ObserverRecordFinalize(benchmark::State& state) {
+/// cost on an observed run apart from the exporters. With `reserved`, the
+/// log is first sized for all N records, as FleetSim::run does for an
+/// open-loop run; without, it grows by doubling, as on a closed-loop run.
+void observer_record_finalize(benchmark::State& state, bool reserved) {
   constexpr std::uint32_t kReplicas = 5;
   const auto n = static_cast<std::uint64_t>(state.range(0));
   const std::vector<ObservedStep> log = observed_log(n);
   for (auto _ : state) {
     serve::Observer obs(kReplicas, 285e6);
+    if (reserved) obs.reserve(n);
     sim::Cycles tail[kReplicas] = {};
     for (std::uint64_t i = 0; i < n; ++i) {
       const ObservedStep& s = log[i];
@@ -175,7 +178,19 @@ void BM_ObserverRecordFinalize(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
+
+void BM_ObserverRecordFinalize(benchmark::State& state) {
+  observer_record_finalize(state, /*reserved=*/false);
+}
 BENCHMARK(BM_ObserverRecordFinalize)
+    ->Arg(100'000)
+    ->Arg(1'000'000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ObserverRecordFinalizeReserved(benchmark::State& state) {
+  observer_record_finalize(state, /*reserved=*/true);
+}
+BENCHMARK(BM_ObserverRecordFinalizeReserved)
     ->Arg(100'000)
     ->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond);

@@ -30,6 +30,15 @@ Node::Node(sim::Engine& engine, const ArchConfig& arch,
   assert(model_.d_ff % arch_.num_nodes == 0);
   assert(arch_.num_nodes == 1 || fabric_ != nullptr);
 
+  // Units are named "n<id>.<unit>". The name is built by appending: GCC 12
+  // misreads `"lit" + std::string&&` as an overlapping copy (-Wrestrict).
+  const auto unit_name = [this](const char* unit) {
+    std::string name = "n";
+    name += std::to_string(id_);
+    name += unit;
+    return name;
+  };
+
   // The n_channel weight channels (and the KV channels) are private to this
   // node and always transfer symmetric shards in lockstep, so they are
   // modeled as one aggregated channel of n x the per-channel bandwidth.
@@ -38,33 +47,33 @@ Node::Node(sim::Engine& engine, const ArchConfig& arch,
       .burst_setup_cycles = arch_.dma_setup_cycles,
       .burst_efficiency = arch_.hbm_efficiency};
   weight_stream_ = std::make_unique<hw::HbmChannel>(
-      engine, weight_cfg, "n" + std::to_string(id_) + ".weights");
+      engine, weight_cfg, unit_name(".weights"));
 
   hw::HbmChannelConfig kv_cfg{
       .bytes_per_cycle = arch_.hbm_bytes_per_cycle() * arch_.kv_channels,
       .burst_setup_cycles = arch_.dma_setup_cycles,
       .burst_efficiency = arch_.hbm_efficiency};
   kv_stream_ = std::make_unique<hw::HbmChannel>(
-      engine, kv_cfg, "n" + std::to_string(id_) + ".kv");
+      engine, kv_cfg, unit_name(".kv"));
 
   mpu_ = std::make_unique<hw::MacArray>(
       engine,
       hw::MacArrayConfig{.lanes = arch_.mpu_lanes(),
                          .pipeline_depth = arch_.mac_pipeline_depth,
                          .drain_cycles = 4},
-      "n" + std::to_string(id_) + ".mpu");
+      unit_name(".mpu"));
   score_mac_ = std::make_unique<hw::MacArray>(
       engine,
       hw::MacArrayConfig{.lanes = arch_.score_lanes,
                          .pipeline_depth = arch_.mac_pipeline_depth,
                          .drain_cycles = 4},
-      "n" + std::to_string(id_) + ".score");
+      unit_name(".score"));
   mix_mac_ = std::make_unique<hw::MacArray>(
       engine,
       hw::MacArrayConfig{.lanes = arch_.mix_lanes,
                          .pipeline_depth = arch_.mac_pipeline_depth,
                          .drain_cycles = 4},
-      "n" + std::to_string(id_) + ".mix");
+      unit_name(".mix"));
 }
 
 // ---------------------------------------------------------------------------

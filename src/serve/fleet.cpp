@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -376,8 +377,13 @@ struct FleetRun {
   FleetRun(const FleetConfig& cfg_,
            const std::vector<core::StepCostModel>& costs)
       : cfg(cfg_),
-        traffic(cfg_.traffic, cfg_.replicas.front().arch.frequency_hz),
         balancer(cfg_.balancer) {
+    // An explicit open-loop schedule is read in place by FleetSim::run;
+    // every other run draws from a generator.
+    if (cfg_.traffic.process == ArrivalProcess::kClosedLoop ||
+        cfg_.traffic.explicit_arrivals.empty()) {
+      traffic.emplace(cfg_.traffic, cfg_.replicas.front().arch.frequency_hz);
+    }
     shared.target = cfg_.traffic.request_count();
     // The window hook stays null on static runs: the scheduler then never
     // pushes a TTFT sample, and no autoscaler exists to read one.
@@ -437,7 +443,8 @@ struct FleetRun {
   /// KV-migration ring (disaggregated fleets only; null otherwise).
   std::unique_ptr<net::RingFabric> fabric;
   std::unique_ptr<detail::DisaggShared> disagg;
-  TrafficGen traffic;
+  /// The arrival generator; absent when an explicit schedule is replayed.
+  std::optional<TrafficGen> traffic;
   LoadBalancer balancer;
 
   // ---- Autoscaler state (inert when cfg.autoscale.enabled is false) ----
@@ -763,6 +770,44 @@ void add_finalized(FleetMetrics& m,
             });
 }
 
+/// Records an observed open-loop run makes, read off its schedule before
+/// the engine starts. Per request: route, arrive, admit, first-token and
+/// finish; one decode record per decode token; one first-chunk/chunk per
+/// prefill step under the fleet's smallest chunk budget; a cache hit or
+/// miss when the prefix cache is on; and on a disaggregated fleet a
+/// kv-migrate or steal plus the migrated re-admit. On-clock and off-clock
+/// records count alike: finalize() merges the off-clock ones into the same
+/// buffer. Preemption (preempt, recompute and re-prefill records), scale
+/// and drain records and budget-split chunks depend on how the run
+/// unfolds: kHeadroom per request covers them on the observe-golden runs
+/// and on perfbench's disagg-burst, and a run that needs more (heavy
+/// preemption) regrows the log.
+std::size_t observed_record_estimate(const FleetConfig& cfg,
+                                     const std::vector<Arrival>& schedule) {
+  constexpr std::size_t kLifecycle = 5;
+  constexpr std::size_t kHeadroom = 4;
+  std::uint32_t chunk = 0;  // smallest prefill chunk budget; 0 = whole
+  bool cache = false;
+  for (const ServingConfig& r : cfg.replicas) {
+    if (r.scheduler.policy == BatchPolicy::kChunkedMixed &&
+        r.scheduler.max_tokens_per_iter > 0 &&
+        (chunk == 0 || r.scheduler.max_tokens_per_iter < chunk)) {
+      chunk = r.scheduler.max_tokens_per_iter;
+    }
+    cache = cache || r.prefix_cache;
+  }
+  const std::size_t fixed = kLifecycle + kHeadroom + (cache ? 1 : 0) +
+                            (cfg.disaggregated() ? 2 : 0);
+  std::size_t records = 0;
+  for (const Arrival& a : schedule) {
+    const std::uint32_t prefill = a.shape.prefill;
+    const std::size_t chunks =
+        chunk == 0 || prefill <= chunk ? 1 : (prefill + chunk - 1) / chunk;
+    records += fixed + a.shape.decode + chunks;
+  }
+  return records;
+}
+
 }  // namespace
 
 FleetResult FleetSim::run() const { return run(nullptr); }
@@ -788,6 +833,20 @@ FleetResult FleetSim::run(Observer* observer) const {
   }
   FleetRun run(config_, costs_);
   run.shared.observer = observer;
+  // The open-loop schedule is built before the engine starts (an explicit
+  // one is read in place, not copied), and an observed run sizes its log
+  // from it.
+  const bool open_loop =
+      config_.traffic.process != ArrivalProcess::kClosedLoop;
+  std::vector<Arrival> drawn;
+  const std::vector<Arrival>* schedule = &config_.traffic.explicit_arrivals;
+  if (open_loop && schedule->empty()) {
+    drawn = run.traffic->open_loop_schedule();
+    schedule = &drawn;
+  }
+  if (observer != nullptr && open_loop) {
+    observer->reserve(observed_record_estimate(config_, *schedule));
+  }
   const auto route = [&run]() -> detail::Replica& { return run.route(); };
   // Control plane first: at a shared instant the scale decision lands
   // before that cycle's routing (either order is deterministic; this one
@@ -798,17 +857,17 @@ FleetResult FleetSim::run(Observer* observer) const {
   for (auto& r : run.replicas) {
     run.engine.spawn(detail::scheduler_proc(*r));
   }
-  if (config_.traffic.process == ArrivalProcess::kClosedLoop) {
+  if (open_loop) {
+    run.engine.spawn(detail::arrivals_proc(run.engine, *schedule, route));
+  } else {
     const std::uint32_t clients =
         std::max<std::uint32_t>(1, config_.traffic.clients);
     for (std::uint32_t c = 0; c < clients; ++c) {
       run.engine.spawn(detail::client_proc(run.engine, run.shared,
-                                           run.traffic,
+                                           *run.traffic,
                                            config_.traffic.think_time_s,
                                            route));
     }
-  } else {
-    run.engine.spawn(detail::arrivals_proc(run.engine, run.traffic, route));
   }
   run.engine.run();
 

@@ -79,6 +79,11 @@ void Observer::set_role_names(std::vector<std::string> names) {
   role_names_ = std::move(names);
 }
 
+void Observer::reserve(std::size_t records) {
+  events_.reserve(records);
+  reserved_ = events_.capacity();
+}
+
 void Observer::record(LifecycleEvent kind, sim::Cycles at,
                       std::uint32_t request, std::uint32_t replica,
                       std::uint32_t a, std::uint32_t b) {

@@ -32,6 +32,17 @@
 // order a stable sort of the whole log by cycle gives, in O(n + k log k)
 // for n records of which k are off-clock.
 //
+// Storage: FleetSim::run sizes the log once, before the engine starts,
+// for every record an open-loop run's schedule implies (on-clock and
+// off-clock alike, since finalize() merges in place) plus headroom for
+// preemption and scale records; reserve() only sets capacity, and pages
+// reserved but never written never become resident. A run that outgrows
+// its reservation (heavy preemption) regrows the log by doubling.
+// Closed-loop runs draw their shapes as they go, so they reserve nothing
+// and keep the plain doubling growth. Each replica's span ledger lives in
+// chunked storage (a deque): it grows without copying, and the trace
+// exporter, its only reader, walks it in order.
+//
 // Determinism rules (DESIGN.md §7): exports are keyed off simulated cycles
 // only — every timestamp is an integer cycle count and every millisecond
 // figure is derived by integer cycle→microsecond arithmetic, so the
@@ -41,6 +52,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <iterator>
 #include <map>
 #include <ostream>
@@ -172,6 +184,15 @@ class Observer {
   void set_role_names(std::vector<std::string> names);
   const std::vector<std::string>& role_names() const { return role_names_; }
 
+  /// Sets the log's capacity to at least `records` without touching its
+  /// contents. FleetSim::run calls this once, before the engine starts,
+  /// with the record count an open-loop run's schedule implies.
+  void reserve(std::size_t records);
+  /// The capacity the last reserve() left the log with (0 if never
+  /// called). A log that never outgrew its reservation still has exactly
+  /// this capacity after finalize().
+  std::size_t reserved() const { return reserved_; }
+
   // ---- Recording hooks (engine room only; all O(1) bookkeeping) ----
   /// Records an event stamped on the engine clock. Stamps must be
   /// nondecreasing across calls; a stamp behind the previous one throws
@@ -242,7 +263,7 @@ class Observer {
     std::size_t position = 0;
   };
   struct PerReplica {
-    std::vector<Span> spans;  // nonzero-width spans, in recording order
+    std::deque<Span> spans;  // nonzero-width spans, in recording order
     std::array<sim::Cycles, kCategoryCount> totals{};
     std::array<bool, kCategoryCount> added{};
     std::map<std::string, sim::Cycles> breakdown;  // built by finalize()
@@ -269,6 +290,7 @@ class Observer {
   std::vector<std::string> role_names_;  // empty unless disaggregated
   std::vector<ObservedEvent> events_;  // on-clock until finalize()
   std::vector<OffClock> off_clock_;
+  std::size_t reserved_ = 0;
   bool finalized_ = false;
   sim::Cycles makespan_ = 0;
 };

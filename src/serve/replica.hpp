@@ -344,15 +344,15 @@ FleetMetrics finalize_metrics(Replica& f);
 util::PercentileSummary cycle_summary_ms(util::CountTable cycles,
                                          const core::ArchConfig& arch);
 
-/// Open-loop injector: replays the pre-generated arrival schedule, asking
-/// `route()` (signature `Replica&()`, FleetSim's LoadBalancer) for the
-/// target replica the moment each arrival lands, and enqueues through an
+/// Open-loop injector: replays the arrival schedule FleetSim::run built
+/// before the engine started (it must outlive the run), asking `route()`
+/// (signature `Replica&()`, FleetSim's LoadBalancer) for the target
+/// replica the moment each arrival lands, and enqueues through an
 /// enqueue_request_event callback. Routing makes no engine events, so a
 /// 1-replica fleet runs exactly its replica's event sequence.
 template <typename RouteFn>
-sim::Task arrivals_proc(sim::Engine& engine, TrafficGen& traffic,
-                        RouteFn route) {
-  const std::vector<Arrival> schedule = traffic.open_loop_schedule();
+sim::Task arrivals_proc(sim::Engine& engine,
+                        const std::vector<Arrival>& schedule, RouteFn route) {
   for (const Arrival& a : schedule) {
     if (a.at > engine.now()) co_await engine.delay(a.at - engine.now());
     Replica& rep = route();

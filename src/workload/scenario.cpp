@@ -1,5 +1,8 @@
 #include "workload/scenario.hpp"
 
+#include <string>
+#include <utility>
+
 #include "util/rng.hpp"
 
 namespace looplynx::workload {
@@ -30,7 +33,15 @@ std::uint64_t prompt_token_id(const Scenario& scenario, std::uint64_t unique,
 
 Scenario make_scenario(std::uint32_t prefill, std::uint32_t decode) {
   Scenario s;
-  s.name = "[" + std::to_string(prefill) + ":" + std::to_string(decode) + "]";
+  // Built by appending: GCC 12 misreads `"lit" + std::string&&` (and a
+  // literal assigned to an existing string) as an overlapping copy
+  // (-Wrestrict).
+  std::string name = "[";
+  name += std::to_string(prefill);
+  name += ':';
+  name += std::to_string(decode);
+  name += ']';
+  s.name = std::move(name);
   s.prefill = prefill;
   s.decode = decode;
   return s;

@@ -2,8 +2,8 @@
 // lifecycle event log's ordering invariants, the cycle-accounting tiling
 // identity across the {batch policy x preempt policy x autoscale} matrix,
 // byte-identical exports across repeated runs, the observed-run ==
-// unobserved-run metrics guarantee, the host-layer breakdown exposure,
-// and the CLI flag plumbing.
+// unobserved-run metrics guarantee, the log's one-time reservation, the
+// host-layer breakdown exposure, and the CLI flag plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
 #include "serve/observe.hpp"
+#include "serve/traffic.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "workload/mix.hpp"
@@ -115,8 +116,8 @@ FleetConfig autoscaled_config() {
 /// Asserts the tiling identity plus the event log's structural invariants
 /// on a finalized observer: timestamps are globally nondecreasing (the
 /// engine's event order), every request's lifecycle is well-ordered
-/// (arrive first; admit before any chunk; first-token before decode;
-/// finish/reject terminal), and replica indices are in range.
+/// (arrive first; admit before any chunk; first-token before decode and
+/// KV migration; finish/reject terminal), and replica indices are in range.
 void check_observer_invariants(const Observer& obs) {
   ASSERT_TRUE(obs.finalized());
   // Tiling: per replica, the category totals sum to the makespan exactly.
@@ -194,6 +195,14 @@ void check_observer_invariants(const Observer& obs) {
         r.terminal = true;
         r.end_at = e.at;
         EXPECT_GE(e.at, r.ttft_at);
+        break;
+      case LifecycleEvent::kCacheHit:
+      case LifecycleEvent::kCacheMiss:
+      case LifecycleEvent::kSteal:
+        EXPECT_TRUE(r.arrived);
+        break;
+      case LifecycleEvent::kKvMigrate:
+        EXPECT_TRUE(r.first_token);  // the prompt is done before it ships
         break;
       default:
         ADD_FAILURE() << "unexpected fleet-scoped kind on request event";
@@ -459,6 +468,171 @@ TEST(ObserveRunTest, RunRejectsMismatchedObserverWidth) {
       base_config(), 3, BalancerPolicy::kRoundRobin);
   Observer narrow(2, cfg.arch.frequency_hz);
   EXPECT_THROW(FleetSim(fleet).run(&narrow), std::invalid_argument);
+}
+
+// ------------------------------------------------------- Log storage
+//
+// FleetSim::run sizes an observed open-loop run's log once, from the
+// schedule, before the engine starts. A run that stays inside that
+// reservation ends with the log's capacity unchanged: recording and
+// finalize's in-place merge never regrew it.
+
+/// The observe-golden configs (tests/test_determinism_golden.cpp): the
+/// paged-recompute single replica, the queue-policy autoscaled fleet, and
+/// the disaggregated tier-autoscaled fleet the LifecyclePins export uses.
+ServingConfig golden_base() {
+  ServingConfig cfg;
+  cfg.arch = core::ArchConfig::one_node();
+  cfg.model = observe_model();
+  cfg.cost_probe_stride = 16;
+  cfg.traffic.mix = workload::Mix{"skewed",
+                                  {{workload::make_scenario(8, 16), 0.8},
+                                   {workload::make_scenario(192, 48), 0.2}}};
+  cfg.traffic.num_requests = 32;
+  cfg.traffic.arrival_rate_per_s = 300.0;
+  cfg.traffic.seed = 42;
+  cfg.scheduler.max_batch = 4;
+  cfg.slo.ttft_ms = 5.0;
+  cfg.slo.token_ms = 2.0;
+  return cfg;
+}
+
+ServingConfig golden_single_config() {
+  ServingConfig cfg = golden_base();
+  cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
+  cfg.scheduler.max_tokens_per_iter = 16;
+  cfg.scheduler.preempt = PreemptPolicy::kRecomputeYoungest;
+  cfg.kv_block_tokens = 4;
+  KvBlockManager probe(cfg.arch, cfg.model, 1);
+  cfg.kv_budget_bytes_per_node = 288 * probe.bytes_per_token_per_node();
+  cfg.traffic.arrival_rate_per_s = 1200.0;
+  return cfg;
+}
+
+FleetConfig golden_bursty_fleet() {
+  ServingConfig base = golden_base();
+  base.traffic.process = ArrivalProcess::kBursty;
+  base.traffic.num_requests = 48;
+  base.traffic.arrival_rate_per_s = 400.0;
+  base.traffic.burst_factor = 4.0;
+  base.traffic.burst_fraction = 0.25;
+  base.traffic.burst_period_s = 0.05;
+  base.scheduler.max_in_flight = 6;
+  FleetConfig cfg = FleetConfig::homogeneous(
+      base, 3, BalancerPolicy::kJoinShortestQueue);
+  cfg.autoscale.enabled = true;
+  cfg.autoscale.eval_interval_ms = 2.0;
+  cfg.autoscale.ttft_window_ms = 10.0;
+  cfg.autoscale.queue_high = 1.5;
+  cfg.autoscale.queue_low = 0.25;
+  cfg.autoscale.up_evals = 1;
+  cfg.autoscale.down_evals = 2;
+  cfg.autoscale.cooldown_evals = 1;
+  return cfg;
+}
+
+FleetConfig golden_fleet_config() {
+  FleetConfig cfg = golden_bursty_fleet();
+  cfg.autoscale.policy = ScalePolicy::kQueueDepth;
+  cfg.autoscale.min_replicas = 1;
+  cfg.autoscale.max_replicas = 3;
+  return cfg;
+}
+
+FleetConfig golden_disagg_config() {
+  FleetConfig cfg = golden_bursty_fleet();
+  cfg.kv_link.bytes_per_cycle = 16.0;
+  cfg.roles = {ReplicaRole::kPrefill, ReplicaRole::kPrefill,
+               ReplicaRole::kDecode};
+  cfg.autoscale.policy = ScalePolicy::kHybrid;
+  cfg.autoscale.tier_min = {1, 1};
+  cfg.autoscale.tier_max = {2, 1};
+  return cfg;
+}
+
+/// Chunked prefill over the prefix cache: multi-turn chats, so admissions
+/// record hits and misses and long prompts split into chunks.
+ServingConfig cached_chunked_config() {
+  ServingConfig cfg = base_config();
+  cfg.model = observe_model();
+  cfg.scheduler.policy = BatchPolicy::kChunkedMixed;
+  cfg.scheduler.max_tokens_per_iter = 16;
+  cfg.kv_block_tokens = 4;
+  cfg.prefix_cache = true;
+  ChatTrafficConfig chat;
+  chat.conversations = 6;
+  chat.turns = 3;
+  chat.system_prompt_tokens = 32;
+  chat.user_turn_tokens = 8;
+  chat.reply_tokens = 16;
+  cfg.traffic.scripted_shapes = chat_turn_shapes(chat);
+  return cfg;
+}
+
+/// The preempting config at a third of its KV budget: recompute records
+/// pile up past the schedule's headroom.
+ServingConfig thrashing_config() {
+  ServingConfig cfg = preempting_config();
+  KvBlockManager probe(cfg.arch, cfg.model, 1);
+  cfg.kv_budget_bytes_per_node = 48 * probe.bytes_per_token_per_node();
+  return cfg;
+}
+
+std::string exports_of(const Observer& obs) {
+  std::ostringstream trace, prom;
+  obs.write_chrome_trace(trace);
+  obs.write_prometheus(prom);
+  return trace.str() + prom.str();
+}
+
+TEST(ObserveStorageTest, OpenLoopRunsNeverRegrowTheLog) {
+  const auto check = [](const char* name, const FleetConfig& cfg) {
+    SCOPED_TRACE(name);
+    Observer obs(static_cast<std::uint32_t>(cfg.replicas.size()),
+                 cfg.replicas.front().arch.frequency_hz);
+    FleetSim(cfg).run(&obs);
+    check_observer_invariants(obs);
+    EXPECT_GT(obs.reserved(), 0u);
+    EXPECT_EQ(obs.events().capacity(), obs.reserved());
+    EXPECT_LE(obs.events().size(), obs.reserved());
+  };
+  check("golden single", FleetConfig::homogeneous(golden_single_config(), 1));
+  check("golden fleet", golden_fleet_config());
+  check("golden disagg", golden_disagg_config());
+  check("chunked + prefix cache",
+        FleetConfig::homogeneous(cached_chunked_config(), 1));
+}
+
+TEST(ObserveStorageTest, OutgrownReservationKeepsMetricsAndExports) {
+  const ServingConfig cfg = thrashing_config();
+  const FleetMetrics plain = run_one(cfg);
+  Observer first(1, cfg.arch.frequency_hz);
+  const FleetMetrics observed = run_one(cfg, &first);
+  check_observer_invariants(first);
+  ASSERT_GT(first.events().size(), first.reserved())
+      << "the run must outgrow its reservation";
+  EXPECT_EQ(plain.preemptions, observed.preemptions);
+  EXPECT_EQ(plain.recompute_tokens, observed.recompute_tokens);
+  EXPECT_EQ(plain.completed, observed.completed);
+  EXPECT_EQ(plain.duration_s, observed.duration_s);
+  EXPECT_EQ(plain.ttft_ms.p99, observed.ttft_ms.p99);
+  EXPECT_EQ(plain.e2e_ms.mean, observed.e2e_ms.mean);
+  EXPECT_EQ(plain.inter_token_gap_ms.p99, observed.inter_token_gap_ms.p99);
+  Observer second(1, cfg.arch.frequency_hz);
+  run_one(cfg, &second);
+  EXPECT_EQ(exports_of(first), exports_of(second));
+}
+
+TEST(ObserveStorageTest, ClosedLoopRunReservesNothing) {
+  ServingConfig cfg = golden_single_config();
+  cfg.traffic.process = ArrivalProcess::kClosedLoop;
+  cfg.traffic.clients = 6;
+  cfg.traffic.think_time_s = 0.001;
+  Observer obs(1, cfg.arch.frequency_hz);
+  const FleetMetrics m = run_one(cfg, &obs);
+  check_observer_invariants(obs);
+  EXPECT_EQ(obs.reserved(), 0u);
+  EXPECT_EQ(count_kind(obs, LifecycleEvent::kFinish), m.completed);
 }
 
 // ------------------------------------------------- Byte-stable exports

@@ -13,41 +13,15 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "core/arch_config.hpp"
 #include "model/config.hpp"
 #include "serve/fleet.hpp"
 #include "serve/kv_block.hpp"
+#include "tests/support/counting_new.hpp"
 #include "util/slot_map.hpp"
 #include "workload/mix.hpp"
-
-// ---- Global allocation counter ------------------------------------------
-// Replacing the global allocation functions lets the churn test assert the
-// exact number of heap allocations a window of operations performed.
-// Counting is a plain increment: the tests are single-threaded.
-namespace {
-std::uint64_t g_news = 0;
-}
-
-void* operator new(std::size_t size) {
-  ++g_news;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  ++g_news;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace looplynx::util {
 namespace {
@@ -162,7 +136,7 @@ TEST(SlotMap, ChurnIsAllocationFreeInSteadyState) {
 
   // ...then churn at or below the peak: every allocation in this window
   // would be a per-request heap allocation in the serve hot path.
-  const std::uint64_t news_before = g_news;
+  const std::uint64_t news_before = test::global_news();
   for (std::size_t step = 0; step < 200000; ++step) {
     const bool insert = live.empty() || (live.size() < kPeak && next() % 2);
     if (insert) {
@@ -181,7 +155,8 @@ TEST(SlotMap, ChurnIsAllocationFreeInSteadyState) {
       ASSERT_EQ(p->value, expect);
     }
   }
-  EXPECT_EQ(g_news - news_before, 0u);  // zero steady-state allocations
+  // Zero steady-state allocations.
+  EXPECT_EQ(test::global_news() - news_before, 0u);
   EXPECT_EQ(map.chunk_count(), 3u);     // and no hidden chunk growth
   EXPECT_EQ(map.capacity_slots(), kPeak);
   EXPECT_EQ(map.size(), live.size());
