@@ -29,6 +29,7 @@
 #include "serve/traffic.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
+#include "util/sha256.hpp"
 #include "workload/mix.hpp"
 
 namespace looplynx::serve {
@@ -621,6 +622,26 @@ TEST(ObserveStorageTest, OutgrownReservationKeepsMetricsAndExports) {
   Observer second(1, cfg.arch.frequency_hz);
   run_one(cfg, &second);
   EXPECT_EQ(exports_of(first), exports_of(second));
+}
+
+// The regrowth path's exports, pinned byte for byte: the thrashing run
+// outgrows its reservation and carries many off-clock recompute records
+// and nonzero `b` payloads, so this covers the storage the fast path
+// never reaches.
+TEST(ObserveStorageTest, OutgrownReservationExportsArePinned) {
+  const ServingConfig cfg = thrashing_config();
+  Observer obs(1, cfg.arch.frequency_hz);
+  run_one(cfg, &obs);
+  ASSERT_GT(obs.events().size(), obs.reserved());
+  ASSERT_GT(count_kind(obs, LifecycleEvent::kRecomputeStart), 0u);
+  ASSERT_GT(std::count_if(obs.events().begin(), obs.events().end(),
+                          [](const ObservedEvent& e) { return e.b != 0; }),
+            0);
+  std::ostringstream trace, prom;
+  obs.write_chrome_trace(trace);
+  obs.write_prometheus(prom);
+  EXPECT_EQ(util::sha256_hex(trace.str()), "8ed22fc8b7bbae09f3d2e8372c826d130f72e0c93ca0eb4769d7b385f7afd1d7");
+  EXPECT_EQ(util::sha256_hex(prom.str()), "c2f865e87b9fca958856b4df1840a5bf485a93fa9ff528e6495d044ef2215025");
 }
 
 TEST(ObserveStorageTest, ClosedLoopRunReservesNothing) {
