@@ -13,6 +13,10 @@
 #include <string>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "core/arch_config.hpp"
 #include "core/step_cost.hpp"
 #include "core/system.hpp"
@@ -139,17 +143,29 @@ std::vector<ObservedStep> observed_log(std::uint64_t n) {
   return log;
 }
 
+/// Heap bytes in use (glibc's count, mmapped blocks included), or 0 where
+/// the C library does not report it.
+std::uint64_t heap_in_use() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 m = mallinfo2();
+  return m.uordblks + m.hblkhd;
+#else
+  return 0;
+#endif
+}
+
 /// Records N events (plus one iteration's three spans per 8 events,
 /// round-robin over 5 replicas), then finalizes: the observer's whole
 /// cost on an observed run apart from the exporters. With `reserved`, the
 /// log is first sized for all N records, as FleetSim::run does for an
 /// open-loop run; without, it grows by doubling, as on a closed-loop run.
+/// The `bytes_per_record` counter is the heap a finalized observer holds
+/// per record (log, side arrays and span ledger), from an untimed fill.
 void observer_record_finalize(benchmark::State& state, bool reserved) {
   constexpr std::uint32_t kReplicas = 5;
   const auto n = static_cast<std::uint64_t>(state.range(0));
   const std::vector<ObservedStep> log = observed_log(n);
-  for (auto _ : state) {
-    serve::Observer obs(kReplicas, 285e6);
+  const auto fill = [&](serve::Observer& obs) {
     if (reserved) obs.reserve(n);
     sim::Cycles tail[kReplicas] = {};
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -174,7 +190,20 @@ void observer_record_finalize(benchmark::State& state, bool reserved) {
     const sim::Cycles makespan = *std::max_element(tail, tail + kReplicas);
     for (std::uint32_t r = 0; r < kReplicas; ++r) obs.mark_exit(r, tail[r]);
     obs.finalize(makespan);
-    benchmark::DoNotOptimize(obs.events().data());
+  };
+  {
+    const std::uint64_t before = heap_in_use();
+    serve::Observer obs(kReplicas, 285e6);
+    fill(obs);
+    state.counters["bytes_per_record"] =
+        static_cast<double>(heap_in_use() - before) / static_cast<double>(n);
+  }
+  for (auto _ : state) {
+    serve::Observer obs(kReplicas, 285e6);
+    fill(obs);
+    // finalize()'s own output; events() would time an unpacking that no
+    // exporter needs.
+    benchmark::DoNotOptimize(obs.breakdown(0));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }

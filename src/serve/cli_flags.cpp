@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "serve/observe.hpp"
+
 namespace looplynx::serve {
 
 namespace {
@@ -231,6 +233,13 @@ SchedulerCliOptions parse_scheduler_cli(const util::Cli& cli,
           "--kv-link-gbps must be > 0 (a zero-rate link never delivers a "
           "migration)");
     }
+  }
+  if (opts.observed() && opts.fleet_width() > Observer::kMaxReplicas) {
+    throw std::invalid_argument(
+        "--trace-out/--metrics-out observe at most " +
+        std::to_string(Observer::kMaxReplicas) +
+        " replicas (the observer's packed log limit); this fleet has " +
+        std::to_string(opts.fleet_width()));
   }
   return opts;
 }

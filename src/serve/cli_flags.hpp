@@ -127,8 +127,8 @@ struct SchedulerCliOptions {
 ///    gate exercises);
 ///  - --kv-swap requires --prefix-cache (swap is a cache eviction tier;
 ///    alone it would silently do nothing);
-///  - --trace-out/--metrics-out need a non-empty =<path> value (they are
-///    legal with every replica / autoscale combination);
+///  - --trace-out/--metrics-out need a non-empty =<path> value and a
+///    fleet no wider than Observer::kMaxReplicas (8 192);
 ///  - --roles=<role>,... (general|prefill|decode) requires an explicit
 ///    --replicas >= 2 with a matching role count (or --autoscale, where
 ///    the role list itself sizes the pool and the autoscaler runs one

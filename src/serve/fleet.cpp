@@ -845,6 +845,9 @@ FleetResult FleetSim::run(Observer* observer) const {
     schedule = &drawn;
   }
   if (observer != nullptr && open_loop) {
+    // An arrival the packed log cannot stamp fails here, before the
+    // engine starts, rather than partway through the run.
+    for (const Arrival& a : *schedule) Observer::check_stamp(a.at);
     observer->reserve(observed_record_estimate(config_, *schedule));
   }
   const auto route = [&run]() -> detail::Replica& { return run.route(); };

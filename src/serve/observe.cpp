@@ -64,6 +64,12 @@ Observer::Observer(std::uint32_t replicas, double frequency_hz)
   if (replicas == 0) {
     throw std::invalid_argument("Observer needs at least one replica");
   }
+  if (replicas > kMaxReplicas) {
+    throw std::invalid_argument(
+        "Observer supports at most " + std::to_string(kMaxReplicas) +
+        " replicas (the packed log's 13-bit replica field), got " +
+        std::to_string(replicas));
+  }
   if (!(frequency_hz > 0)) {
     throw std::invalid_argument("Observer frequency_hz must be > 0");
   }
@@ -80,29 +86,58 @@ void Observer::set_role_names(std::vector<std::string> names) {
 }
 
 void Observer::reserve(std::size_t records) {
-  events_.reserve(records);
-  reserved_ = events_.capacity();
+  log_.reserve(records);
+  reserved_ = log_.capacity();
+}
+
+void Observer::check_stamp(sim::Cycles at) {
+  if (at > kMaxStamp) {
+    throw std::invalid_argument(
+        "Observer: cycle " + std::to_string(at) +
+        " is past the last cycle the packed log can stamp, " +
+        std::to_string(kMaxStamp) +
+        " (2^45 - 1); an observed run must end before it");
+  }
+}
+
+Observer::Record Observer::pack(LifecycleEvent kind, sim::Cycles at,
+                                std::uint32_t request, std::uint32_t replica,
+                                std::uint32_t a, std::uint32_t b) const {
+  check_stamp(at);
+  if (replica >= replicas()) {
+    throw std::out_of_range(
+        std::string("Observer: ") + lifecycle_event_name(kind) +
+        " record names replica " + std::to_string(replica) +
+        " of an observer built for " + std::to_string(replicas()));
+  }
+  return Record{at << kStampShift |
+                    std::uint64_t{replica} << kReplicaShift |
+                    std::uint64_t{static_cast<std::uint8_t>(kind)}
+                        << kKindShift |
+                    (b != 0 ? 1u : 0u),
+                request, a};
 }
 
 void Observer::record(LifecycleEvent kind, sim::Cycles at,
                       std::uint32_t request, std::uint32_t replica,
                       std::uint32_t a, std::uint32_t b) {
-  if (!events_.empty() && at < events_.back().at) {
+  const Record r = pack(kind, at, request, replica, a, b);
+  if (!log_.empty() && at < log_.back().at()) {
     throw std::logic_error(
         std::string("Observer::record: on-clock stamp went backwards (") +
         lifecycle_event_name(kind) + " at cycle " + std::to_string(at) +
-        " after cycle " + std::to_string(events_.back().at) +
+        " after cycle " + std::to_string(log_.back().at()) +
         "); record stamps off the engine clock with record_off_clock()");
   }
-  events_.push_back(ObservedEvent{at, kind, request, replica, a, b});
+  log_.push_back(r);
+  if (b != 0) b_values_.push_back(b);
 }
 
 void Observer::record_off_clock(LifecycleEvent kind, sim::Cycles at,
                                 std::uint32_t request, std::uint32_t replica,
                                 std::uint32_t a, std::uint32_t b) {
   off_clock_.push_back(
-      OffClock{ObservedEvent{at, kind, request, replica, a, b},
-               events_.size()});
+      OffClock{pack(kind, at, request, replica, a, b), b, log_.size()});
 }
 
 void Observer::add_span(std::uint32_t replica, CategoryId cat,
@@ -111,8 +146,21 @@ void Observer::add_span(std::uint32_t replica, CategoryId cat,
   const auto c = static_cast<std::size_t>(cat);
   r.added[c] = true;
   if (end <= begin) return;  // zero-width: present in the breakdown only
+  check_stamp(end);
   r.totals[c] += end - begin;
-  r.spans.push_back(Span{begin, end, cat});
+  if (begin != r.span_end) push_span(r, begin << 8 | kSpanGap);
+  push_span(r, end << 8 | c);
+  r.span_end = end;
+}
+
+void Observer::push_span(PerReplica& r, std::uint64_t entry) {
+  const std::size_t slot = r.span_count % kSpanChunk;
+  if (slot == 0) {
+    r.span_chunks.push_back(
+        std::make_unique_for_overwrite<std::uint64_t[]>(kSpanChunk));
+  }
+  r.span_chunks.back()[slot] = entry;
+  ++r.span_count;
 }
 
 void Observer::begin_wait(std::uint32_t replica, CategoryId cat,
@@ -196,25 +244,50 @@ void Observer::merge_off_clock() {
   // `position` p was recorded after on-clock record p - 1 and before
   // on-clock record p, which decides every tie between the two lists.
   // Merging from the back in place moves each on-clock record once.
+  // The nonzero `b`s merge alongside: each list's `b`s are in its own
+  // order, so the merged array fills from the back in step with the log.
   std::stable_sort(off_clock_.begin(), off_clock_.end(),
                    [](const OffClock& x, const OffClock& y) {
-                     return x.event.at < y.event.at;
+                     return x.record.at() < y.record.at();
                    });
-  std::size_t on = events_.size();
+  std::size_t on = log_.size();
   std::size_t off = off_clock_.size();
-  events_.resize(on + off);
+  std::size_t on_b = b_values_.size();
+  std::size_t out_b = on_b;
+  for (const OffClock& x : off_clock_) out_b += x.b != 0 ? 1 : 0;
+  log_.resize(on + off);
+  b_values_.resize(out_b);
   std::size_t out = on + off;
   while (off > 0) {
     const OffClock& x = off_clock_[off - 1];
-    if (on > 0 && (events_[on - 1].at > x.event.at ||
-                   (events_[on - 1].at == x.event.at && on > x.position))) {
-      events_[--out] = events_[--on];
+    const sim::Cycles at = x.record.at();
+    if (on > 0 && (log_[on - 1].at() > at ||
+                   (log_[on - 1].at() == at && on > x.position))) {
+      if (log_[on - 1].has_b()) b_values_[--out_b] = b_values_[--on_b];
+      log_[--out] = log_[--on];
     } else {
-      events_[--out] = x.event;
+      if (x.b != 0) b_values_[--out_b] = x.b;
+      log_[--out] = x.record;
       --off;
     }
   }
   off_clock_ = {};
+}
+
+const std::vector<ObservedEvent>& Observer::events() const {
+  // The log only ever grows (appends, then the merge), so an unchanged
+  // size means unchanged content.
+  if (events_.size() != log_.size()) {
+    events_.clear();
+    events_.reserve(log_.size());
+    std::size_t next_b = 0;
+    for (const Record& r : log_) {
+      events_.push_back(ObservedEvent{
+          r.at(), r.kind(), r.request, r.replica(), r.a,
+          r.has_b() ? b_values_[next_b++] : 0u});
+    }
+  }
+  return events_;
 }
 
 const std::map<std::string, sim::Cycles>& Observer::breakdown(
@@ -233,9 +306,10 @@ void Observer::require_finalized(const char* what) const {
 
 std::uint64_t Observer::cycles_to_us(sim::Cycles c) const {
   // Exact integer arithmetic so the exporters never format a double:
-  // cycles * 1e6 fits 64 bits for any run the engine can represent in
-  // practice (makespans beyond ~5e12 cycles are outside the sim's scale).
-  return c * 1000000ull / frequency_hz_int_;
+  // floor(c * 1e6 / f), split at whole seconds so no product overflows
+  // 64 bits (c * 1e6 itself would past ~1.8e13 cycles, inside kMaxStamp).
+  return c / frequency_hz_int_ * 1000000ull +
+         c % frequency_hz_int_ * 1000000ull / frequency_hz_int_;
 }
 
 void Observer::write_chrome_trace(std::ostream& os) const {
@@ -250,9 +324,16 @@ void Observer::write_chrome_trace(std::ostream& os) const {
   // (chronological per replica). Zero-width spans carry no cycles and
   // would only be viewer noise, so add_span() never stores them.
   for (std::uint32_t i = 0; i < replicas(); ++i) {
-    for (const Span& s : per_replica_[i].spans) {
-      writer.complete(category_name(s.id), "breakdown", i, /*tid=*/0,
-                      s.begin, s.end);
+    const PerReplica& r = per_replica_[i];
+    sim::Cycles begin = 0;
+    for (std::size_t k = 0; k < r.span_count; ++k) {
+      const std::uint64_t entry = r.span_chunks[k / kSpanChunk][k % kSpanChunk];
+      const sim::Cycles end = entry >> 8;
+      if ((entry & 0xff) != kSpanGap) {
+        writer.complete(kCategories[entry & 0xff], "breakdown", i,
+                        /*tid=*/0, begin, end);
+      }
+      begin = end;
     }
   }
   // Scale/drain instants carry the moved replica's role when the fleet is
@@ -267,32 +348,35 @@ void Observer::write_chrome_trace(std::ostream& os) const {
   // One async span per request (opened at routing, closed at finish or
   // rejection), lifecycle instants nested inside; scheduler decisions as
   // instant events on the affected replica's track.
-  for (const ObservedEvent& e : events_) {
-    const std::string_view name = lifecycle_event_name(e.kind);
-    switch (e.kind) {
+  for (const Record& e : log_) {
+    const LifecycleEvent kind = e.kind();
+    const std::string_view name = lifecycle_event_name(kind);
+    const std::uint32_t replica = e.replica();
+    const sim::Cycles at = e.at();
+    switch (kind) {
       case LifecycleEvent::kRoute:
-        writer.async_begin("request", "request", e.replica, e.request, e.at);
+        writer.async_begin("request", "request", replica, e.request, at);
         break;
       case LifecycleEvent::kFinish:
       case LifecycleEvent::kReject:
-        writer.async_instant(name, "request", e.replica, e.request, e.at);
-        writer.async_end("request", "request", e.replica, e.request, e.at);
+        writer.async_instant(name, "request", replica, e.request, at);
+        writer.async_end("request", "request", replica, e.request, at);
         break;
       case LifecycleEvent::kPreempt:
-        writer.instant(name, "decision", e.replica, /*tid=*/0, e.at, 't');
-        writer.async_instant(name, "request", e.replica, e.request, e.at);
+        writer.instant(name, "decision", replica, /*tid=*/0, at, 't');
+        writer.async_instant(name, "request", replica, e.request, at);
         break;
       case LifecycleEvent::kScaleUp:
       case LifecycleEvent::kScaleDown:
-        writer.instant(decision_name(name, e.replica),
-                       "decision", e.replica, /*tid=*/0, e.at, 'g');
+        writer.instant(decision_name(name, replica),
+                       "decision", replica, /*tid=*/0, at, 'g');
         break;
       case LifecycleEvent::kDrain:
-        writer.instant(decision_name(name, e.replica),
-                       "decision", e.replica, /*tid=*/0, e.at, 'p');
+        writer.instant(decision_name(name, replica),
+                       "decision", replica, /*tid=*/0, at, 'p');
         break;
       default:
-        writer.async_instant(name, "request", e.replica, e.request, e.at);
+        writer.async_instant(name, "request", replica, e.request, at);
     }
   }
   writer.finish();
@@ -303,10 +387,8 @@ namespace {
 /// One request's lifecycle, replayed from the event log for the metric
 /// histograms. Cycle fields are valid only when the matching flag is set.
 struct RequestLifecycle {
-  std::uint32_t replica = 0;
   sim::Cycles arrive = 0, admit = 0, first_token = 0, finish = 0;
-  bool arrived = false, admitted = false, first = false, finished = false,
-       rejected = false;
+  bool arrived = false, admitted = false, first = false, finished = false;
 };
 
 /// Fixed deterministic histogram bounds: label (what `le` prints) and the
@@ -360,51 +442,52 @@ void Observer::write_prometheus(std::ostream& os) const {
       completed(n, 0), preemptions(n, 0), tokens(n, 0), scaled_up(n, 0),
       scaled_down(n, 0);
   std::vector<RequestLifecycle> requests;
-  for (const ObservedEvent& e : events_) {
-    if (e.request != kNoRequest) {
-      if (e.request >= requests.size()) requests.resize(e.request + 1);
-      RequestLifecycle& r = requests[e.request];
-      r.replica = e.replica;
-      switch (e.kind) {
+  for (const Record& rec : log_) {
+    const std::uint32_t replica = rec.replica();
+    const LifecycleEvent kind = rec.kind();
+    const sim::Cycles at = rec.at();
+    if (rec.request != kNoRequest) {
+      if (rec.request >= requests.size()) requests.resize(rec.request + 1);
+      RequestLifecycle& r = requests[rec.request];
+      switch (kind) {
         case LifecycleEvent::kRoute:
-          ++routed[e.replica];
+          ++routed[replica];
           break;
         case LifecycleEvent::kArrive:
           r.arrived = true;
-          r.arrive = e.at;
+          r.arrive = at;
           break;
         case LifecycleEvent::kAdmit:
-          ++admitted[e.replica];
+          ++admitted[replica];
           r.admitted = true;
-          r.admit = e.at;
+          r.admit = at;
           break;
         case LifecycleEvent::kReject:
-          ++rejected[e.replica];
-          r.rejected = true;
+          ++rejected[replica];
           break;
         case LifecycleEvent::kFirstToken:
-          ++tokens[e.replica];
+          ++tokens[replica];
           r.first = true;
-          r.first_token = e.at;
+          r.first_token = at;
           break;
         case LifecycleEvent::kDecode:
-          ++tokens[e.replica];
+          ++tokens[replica];
           break;
         case LifecycleEvent::kPreempt:
-          ++preemptions[e.replica];
+          ++preemptions[replica];
           break;
         case LifecycleEvent::kFinish:
-          ++completed[e.replica];
+          ++completed[replica];
           r.finished = true;
-          r.finish = e.at;
+          r.finish = at;
           break;
         default:
           break;
       }
-    } else if (e.kind == LifecycleEvent::kScaleUp) {
-      ++scaled_up[e.replica];
-    } else if (e.kind == LifecycleEvent::kScaleDown) {
-      ++scaled_down[e.replica];
+    } else if (kind == LifecycleEvent::kScaleUp) {
+      ++scaled_up[replica];
+    } else if (kind == LifecycleEvent::kScaleDown) {
+      ++scaled_down[replica];
     }
   }
 

@@ -18,8 +18,8 @@
 // trails the replica's last activity is "drain". finalize() asserts the
 // tiling identity — per replica, the category totals sum to the makespan
 // exactly, no gaps, no overlaps (the serve-layer analog of the paper's
-// Fig. 5 span accounting in sim::Trace). Spans are flat {begin, end, id}
-// records and the totals a fixed per-replica array, so a span costs an
+// Fig. 5 span accounting in sim::Trace). A span is one 8-byte ledger
+// entry and the totals a fixed per-replica array, so a span costs an
 // append and an add.
 //
 // Log order: the fleet runs on one engine, so records stamped at
@@ -32,16 +32,26 @@
 // order a stable sort of the whole log by cycle gives, in O(n + k log k)
 // for n records of which k are off-clock.
 //
-// Storage: FleetSim::run sizes the log once, before the engine starts,
-// for every record an open-loop run's schedule implies (on-clock and
-// off-clock alike, since finalize() merges in place) plus headroom for
-// preemption and scale records; reserve() only sets capacity, and pages
-// reserved but never written never become resident. A run that outgrows
-// its reservation (heavy preemption) regrows the log by doubling.
-// Closed-loop runs draw their shapes as they go, so they reserve nothing
-// and keep the plain doubling growth. Each replica's span ledger lives in
-// chunked storage (a deque): it grows without copying, and the trace
-// exporter, its only reader, walks it in order.
+// Storage: each record is 16 bytes. One 64-bit word packs the stamp, the
+// replica, the kind and a flag for a nonzero `b`; then come `request` and
+// `a`. The rare nonzero `b` (about 0.7% of records on disagg-burst) sits
+// in a side array in log order. Limits: stamps up to kMaxStamp (2^45 - 1
+// cycles, about 34 h at 285 MHz) and kMaxReplicas (8 192) replicas; a
+// value past either throws, nothing is truncated. FleetSim::run sizes the
+// log once, before the engine starts, for every record an open-loop run's
+// schedule implies (on-clock and off-clock alike, since finalize() merges
+// in place) plus headroom for preemption and scale records; reserve()
+// only sets capacity, and pages reserved but never written never become
+// resident. A run that outgrows its reservation (heavy preemption)
+// regrows the log by doubling. Closed-loop runs draw their shapes as they
+// go, so they reserve nothing and keep the plain doubling growth. The
+// exporters read the packed log; events() unpacks it into ObservedEvents
+// only when called. Each replica's span ledger stores 8 bytes per span,
+// its end and category; its begin is the previous span's end, and a span
+// that starts elsewhere is preceded by a gap entry that moves the cursor
+// (none on disagg-burst). The entries sit in fixed chunks of kSpanChunk:
+// the ledger grows without copying, one allocation per chunk, and the
+// trace exporter, its only reader, walks it in order.
 //
 // Determinism rules (DESIGN.md §7): exports are keyed off simulated cycles
 // only — every timestamp is an integer cycle count and every millisecond
@@ -52,9 +62,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -168,6 +178,15 @@ static_assert(category_name(CategoryId::kChunkedPrefill) ==
 /// runs once, after which the event log and breakdowns are frozen.
 class Observer {
  public:
+  /// The last cycle the packed log can stamp (2^45 - 1, about 34 h at
+  /// 285 MHz): records and span ends past it throw std::invalid_argument.
+  static constexpr sim::Cycles kMaxStamp = (sim::Cycles{1} << 45) - 1;
+  /// The widest replica pool the packed log can index (a 13-bit field).
+  static constexpr std::uint32_t kMaxReplicas = 1u << 13;
+
+  /// Throws std::invalid_argument for 0 or more than kMaxReplicas
+  /// replicas, or a frequency that is not positive. Allocates no log or
+  /// span storage.
   Observer(std::uint32_t replicas, double frequency_hz);
 
   std::uint32_t replicas() const {
@@ -192,11 +211,19 @@ class Observer {
   /// called). A log that never outgrew its reservation still has exactly
   /// this capacity after finalize().
   std::size_t reserved() const { return reserved_; }
+  /// The packed log's current capacity, in records.
+  std::size_t log_capacity() const { return log_.capacity(); }
+  /// Throws std::invalid_argument naming the limit when `at` is past
+  /// kMaxStamp. FleetSim::run checks an observed schedule with it before
+  /// the engine starts.
+  static void check_stamp(sim::Cycles at);
 
   // ---- Recording hooks (engine room only; all O(1) bookkeeping) ----
   /// Records an event stamped on the engine clock. Stamps must be
   /// nondecreasing across calls; a stamp behind the previous one throws
   /// std::logic_error (an off-clock stamp belongs in record_off_clock).
+  /// Both recording hooks throw std::invalid_argument for a stamp past
+  /// kMaxStamp and std::out_of_range for a replica >= replicas().
   void record(LifecycleEvent kind, sim::Cycles at, std::uint32_t request,
               std::uint32_t replica, std::uint32_t a = 0, std::uint32_t b = 0);
   /// Records an event whose stamp may be ahead of, behind or equal to the
@@ -205,7 +232,8 @@ class Observer {
   void record_off_clock(LifecycleEvent kind, sim::Cycles at,
                         std::uint32_t request, std::uint32_t replica,
                         std::uint32_t a = 0, std::uint32_t b = 0);
-  /// Attributes [begin, end) of `replica`'s timeline to `cat`.
+  /// Attributes [begin, end) of `replica`'s timeline to `cat`. An `end`
+  /// past kMaxStamp throws std::invalid_argument.
   void add_span(std::uint32_t replica, CategoryId cat, sim::Cycles begin,
                 sim::Cycles end);
   /// The replica's scheduler parks on its work signal; the span is closed
@@ -229,9 +257,12 @@ class Observer {
   sim::Cycles makespan() const { return makespan_; }
 
   // ---- Inspection (tests and the host-layer breakdown exposure) ----
-  /// The lifecycle log; complete and time-ordered once finalize() has
-  /// run (before that it holds the on-clock records only).
-  const std::vector<ObservedEvent>& events() const { return events_; }
+  /// The lifecycle log, unpacked; complete and time-ordered once
+  /// finalize() has run (before that it holds the on-clock records so
+  /// far). Built on the first call and rebuilt only when the log has
+  /// changed since, so it costs 32 bytes per record only for callers that
+  /// ask; a later record or finalize() invalidates the reference.
+  const std::vector<ObservedEvent>& events() const;
   /// Category → cycles for one replica, built by finalize(): a category
   /// is present iff a span of it was ever added, even zero-width (the
   /// exporters emit absent ones as 0 explicitly). Throws std::logic_error
@@ -252,18 +283,54 @@ class Observer {
   void write_prometheus(std::ostream& os) const;
 
  private:
-  struct Span {
-    sim::Cycles begin = 0;
-    sim::Cycles end = 0;
-    CategoryId id = CategoryId::kDrain;
+  /// One log record. `word` packs, from the top: the stamp (45 bits),
+  /// the replica (13 bits), the kind (5 bits) and whether a nonzero `b`
+  /// waits in b_values_ (1 bit). Stamps sit highest, so records compare
+  /// by cycle as `word >> kStampShift`.
+  struct Record {
+    std::uint64_t word = 0;
+    std::uint32_t request = kNoRequest;
+    std::uint32_t a = 0;
+
+    sim::Cycles at() const { return word >> kStampShift; }
+    std::uint32_t replica() const {
+      return static_cast<std::uint32_t>(word >> kReplicaShift) &
+             (kMaxReplicas - 1);
+    }
+    LifecycleEvent kind() const {
+      return static_cast<LifecycleEvent>((word >> kKindShift) & 0x1f);
+    }
+    bool has_b() const { return (word & 1) != 0; }
   };
-  /// An off-clock record and the number of on-clock records before it.
+  static constexpr int kKindShift = 1;
+  static constexpr int kReplicaShift = 6;
+  static constexpr int kStampShift = 19;
+  static_assert(sizeof(Record) == 16);
+  static_assert(static_cast<unsigned>(LifecycleEvent::kSteal) < 32,
+                "every kind (kSteal is the last) must fit the 5-bit field");
+  static_assert(kMaxReplicas == 1u << (kStampShift - kReplicaShift) &&
+                    kMaxStamp == ~std::uint64_t{0} >> kStampShift,
+                "the fields must tile the 64-bit word");
+
+  /// A span ledger entry is end cycle << 8 | CategoryId, or | kSpanGap
+  /// for a gap entry, which only moves the next span's begin to its cycle.
+  static constexpr std::uint64_t kSpanGap = 0xff;
+  static constexpr std::size_t kSpanChunk = 8192;  // 64 KiB per chunk
+  /// An off-clock record, its `b` and the number of on-clock records
+  /// before it.
   struct OffClock {
-    ObservedEvent event;
+    Record record;
+    std::uint32_t b = 0;
     std::size_t position = 0;
   };
   struct PerReplica {
-    std::deque<Span> spans;  // nonzero-width spans, in recording order
+    // Nonzero-width spans in recording order: span_count ledger entries
+    // in chunks of kSpanChunk, the last span ending at span_end. Chunks
+    // are allocated without writing them, so their pages become resident
+    // only as entries fill them.
+    std::vector<std::unique_ptr<std::uint64_t[]>> span_chunks;
+    std::size_t span_count = 0;
+    sim::Cycles span_end = 0;
     std::array<sim::Cycles, kCategoryCount> totals{};
     std::array<bool, kCategoryCount> added{};
     std::map<std::string, sim::Cycles> breakdown;  // built by finalize()
@@ -277,6 +344,11 @@ class Observer {
     std::uint32_t kv_block_tokens = 0;
   };
 
+  /// Appends one ledger entry to `r`'s spans.
+  static void push_span(PerReplica& r, std::uint64_t entry);
+  /// Packs a record, checking the stamp and replica against the limits.
+  Record pack(LifecycleEvent kind, sim::Cycles at, std::uint32_t request,
+              std::uint32_t replica, std::uint32_t a, std::uint32_t b) const;
   void require_finalized(const char* what) const;
   /// Merges the off-clock side buffer into the on-clock log (finalize()).
   void merge_off_clock();
@@ -288,8 +360,10 @@ class Observer {
   std::uint64_t frequency_hz_int_;
   std::vector<PerReplica> per_replica_;
   std::vector<std::string> role_names_;  // empty unless disaggregated
-  std::vector<ObservedEvent> events_;  // on-clock until finalize()
+  std::vector<Record> log_;  // on-clock until finalize()
+  std::vector<std::uint32_t> b_values_;  // nonzero `b`s, in log order
   std::vector<OffClock> off_clock_;
+  mutable std::vector<ObservedEvent> events_;  // built by events()
   std::size_t reserved_ = 0;
   bool finalized_ = false;
   sim::Cycles makespan_ = 0;

@@ -214,6 +214,16 @@ void check_observer_invariants(const Observer& obs) {
   }
 }
 
+util::Cli make_cli(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  static std::vector<std::string> storage;
+  storage = std::move(args);
+  storage.insert(storage.begin(), "test");
+  argv.reserve(storage.size());
+  for (auto& s : storage) argv.push_back(s.data());
+  return util::Cli(static_cast<int>(argv.size()), argv.data());
+}
+
 std::uint64_t count_kind(const Observer& obs, LifecycleEvent kind) {
   std::uint64_t n = 0;
   for (const ObservedEvent& e : obs.events()) n += (e.kind == kind) ? 1 : 0;
@@ -346,6 +356,195 @@ TEST(ObserverTest, OnClockStampGoingBackwardsThrows) {
   EXPECT_NO_THROW(
       obs.record_off_clock(LifecycleEvent::kChunk, 9, 0, 0, 4, 4));
   EXPECT_NO_THROW(obs.record(LifecycleEvent::kFirstToken, 12, 0, 0));
+}
+
+// ------------------------------------------------ Packed log storage
+
+void expect_same_event(const ObservedEvent& got, const ObservedEvent& want,
+                       std::size_t i) {
+  EXPECT_EQ(got.at, want.at) << "position " << i;
+  EXPECT_EQ(got.kind, want.kind) << "position " << i;
+  EXPECT_EQ(got.request, want.request) << "position " << i;
+  EXPECT_EQ(got.replica, want.replica) << "position " << i;
+  EXPECT_EQ(got.a, want.a) << "position " << i;
+  EXPECT_EQ(got.b, want.b) << "position " << i;
+}
+
+TEST(ObserverStorageTest, EveryFieldRoundTripsThroughThePackedLog) {
+  constexpr std::uint32_t kReplicas = 3;
+  constexpr sim::Cycles kMax = Observer::kMaxStamp;
+  const sim::Cycles stamps[] = {0, 1, kMax - 1, kMax};
+  const std::uint32_t words[] = {0, 1, 0xffffffffu};
+  Observer obs(kReplicas, 285e6);
+  std::vector<ObservedEvent> recorded;
+  std::size_t w = 0;
+  for (std::size_t si = 0; si < std::size(stamps); ++si) {
+    for (std::uint8_t k = 0;
+         k <= static_cast<std::uint8_t>(LifecycleEvent::kSteal); ++k) {
+      for (const std::uint32_t replica : {0u, kReplicas - 1}) {
+        for (const std::uint32_t request : {0u, kNoRequest}) {
+          for (const bool on_clock : {true, false}) {
+            // On-clock stamps rise with the outer loop; off-clock ones
+            // fall, so they land ahead of and behind the clock.
+            const ObservedEvent e{
+                on_clock ? stamps[si] : stamps[std::size(stamps) - 1 - si],
+                static_cast<LifecycleEvent>(k), request, replica,
+                words[w % 3], words[(w / 3) % 3]};
+            ++w;
+            if (on_clock) {
+              obs.record(e.kind, e.at, e.request, e.replica, e.a, e.b);
+            } else {
+              obs.record_off_clock(e.kind, e.at, e.request, e.replica, e.a,
+                                   e.b);
+            }
+            recorded.push_back(e);
+          }
+        }
+      }
+    }
+  }
+  for (std::uint32_t r = 0; r < kReplicas; ++r) {
+    obs.add_span(r, CategoryId::kDecode, 0, kMax);
+  }
+  obs.finalize(kMax);
+  std::stable_sort(recorded.begin(), recorded.end(),
+                   [](const ObservedEvent& x, const ObservedEvent& y) {
+                     return x.at < y.at;
+                   });
+  const std::vector<ObservedEvent>& got = obs.events();
+  ASSERT_EQ(got.size(), recorded.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_same_event(got[i], recorded[i], i);
+  }
+  // The widest span's end comes back whole too.
+  std::ostringstream trace;
+  obs.write_chrome_trace(trace);
+  EXPECT_NE(trace.str().find(std::to_string(kMax)), std::string::npos);
+}
+
+TEST(ObserverStorageTest, SpansThatSkipOrOverlapExportWhole) {
+  // Spans usually abut (each begins where the last ended); the ledger
+  // stores a cursor move for those that do not.
+  Observer obs(2, 285e6);
+  obs.add_span(0, CategoryId::kDecode, 0, 10);
+  obs.add_span(0, CategoryId::kDecode, 10, 10);  // zero-width: not stored
+  obs.add_span(0, CategoryId::kPrefill, 15, 20);  // skips [10, 15)
+  obs.add_span(0, CategoryId::kHostSync, 12, 14);  // behind the last end
+  obs.add_span(0, CategoryId::kKvStall, 14, 30);
+  obs.add_span(1, CategoryId::kDrain, 3, 36);  // a first span past 0
+  obs.add_span(1, CategoryId::kSchedulerIdle, 0, 0);
+  obs.finalize(33);
+  std::ostringstream os;
+  obs.write_chrome_trace(os);
+  std::string spans;
+  for (std::size_t at = os.str().find("\"cat\":\"breakdown\"");
+       at != std::string::npos;
+       at = os.str().find("\"cat\":\"breakdown\"", at + 1)) {
+    const std::size_t ts = os.str().find("\"pid\":", at);
+    spans += os.str().substr(ts, os.str().find('}', ts) - ts) + "\n";
+  }
+  EXPECT_EQ(spans,
+            "\"pid\":0,\"tid\":0,\"ts\":0,\"dur\":10\n"
+            "\"pid\":0,\"tid\":0,\"ts\":15,\"dur\":5\n"
+            "\"pid\":0,\"tid\":0,\"ts\":12,\"dur\":2\n"
+            "\"pid\":0,\"tid\":0,\"ts\":14,\"dur\":16\n"
+            "\"pid\":1,\"tid\":0,\"ts\":3,\"dur\":33\n");
+}
+
+TEST(ObserverStorageTest, ValuesPastThePackedLimitsAreRejected) {
+  const std::string max_stamp = std::to_string(Observer::kMaxStamp);
+  const std::string max_replicas = std::to_string(Observer::kMaxReplicas);
+  EXPECT_EQ(Observer::kMaxStamp, (sim::Cycles{1} << 45) - 1);
+  EXPECT_GE(Observer::kMaxReplicas, 2048u);
+  const auto message_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+
+  EXPECT_NO_THROW(Observer(Observer::kMaxReplicas, 285e6));
+  EXPECT_THROW(Observer(Observer::kMaxReplicas + 1, 285e6),
+               std::invalid_argument);
+  EXPECT_NE(message_of([] { Observer(Observer::kMaxReplicas + 1, 285e6); })
+                .find(max_replicas),
+            std::string::npos);
+
+  Observer obs(2, 285e6);
+  const sim::Cycles past = Observer::kMaxStamp + 1;
+  EXPECT_THROW(obs.record(LifecycleEvent::kDecode, past, 0, 0),
+               std::invalid_argument);
+  EXPECT_NE(message_of([&] {
+              obs.record(LifecycleEvent::kDecode, past, 0, 0);
+            }).find(max_stamp),
+            std::string::npos);
+  EXPECT_THROW(obs.record_off_clock(LifecycleEvent::kChunk, past, 0, 0),
+               std::invalid_argument);
+  EXPECT_THROW(obs.add_span(0, CategoryId::kDecode, 0, past),
+               std::invalid_argument);
+  EXPECT_THROW(obs.record(LifecycleEvent::kDecode, 5, 0, 2),
+               std::out_of_range);
+  EXPECT_THROW(obs.record_off_clock(LifecycleEvent::kChunk, 5, 0, 2),
+               std::out_of_range);
+  // Nothing was stored, truncated or otherwise.
+  EXPECT_TRUE(obs.events().empty());
+  obs.add_span(0, CategoryId::kDecode, 0, 10);
+  obs.add_span(1, CategoryId::kDecode, 0, 10);
+  obs.finalize(10);
+  EXPECT_TRUE(obs.events().empty());
+
+  // A schedule the log cannot stamp fails before the engine starts.
+  ServingConfig cfg = base_config();
+  cfg.traffic.explicit_arrivals = {
+      Arrival{past, workload::make_scenario(8, 16)}};
+  const FleetConfig fleet = FleetConfig::homogeneous(cfg, 1);
+  Observer late(1, cfg.arch.frequency_hz);
+  EXPECT_THROW(FleetSim(fleet).run(&late), std::invalid_argument);
+  EXPECT_TRUE(late.events().empty());
+
+  // The CLI rejects a fleet the observer cannot index before building it.
+  EXPECT_NO_THROW(parse_scheduler_cli(make_cli(
+      {"--replicas=" + max_replicas, "--metrics-out=/tmp/m.prom"})));
+  const std::string wide = std::to_string(Observer::kMaxReplicas + 1);
+  EXPECT_THROW(parse_scheduler_cli(make_cli(
+                   {"--replicas=" + wide, "--trace-out=/tmp/t.json"})),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scheduler_cli(make_cli({"--autoscale",
+                                             "--max-replicas=" + wide,
+                                             "--metrics-out=/tmp/m.prom"})),
+               std::invalid_argument);
+  EXPECT_NO_THROW(parse_scheduler_cli(make_cli({"--replicas=" + wide})));
+}
+
+TEST(ObserverStorageTest, EventsIsStableAndTracksTheLogBeforeFinalize) {
+  Observer obs(1, 285e6);
+  EXPECT_TRUE(obs.events().empty());
+  obs.record(LifecycleEvent::kArrive, 3, 0, 0, 8, 16);
+  obs.record_off_clock(LifecycleEvent::kFirstChunk, 9, 0, 0, 8, 8);
+  obs.record(LifecycleEvent::kAdmit, 4, 0, 0, 1);
+  // Before finalize(): the on-clock records so far, off-clock ones aside.
+  ASSERT_EQ(obs.events().size(), 2u);
+  expect_same_event(obs.events()[0],
+                    {3, LifecycleEvent::kArrive, 0, 0, 8, 16}, 0);
+  expect_same_event(obs.events()[1], {4, LifecycleEvent::kAdmit, 0, 0, 1, 0},
+                    1);
+  obs.record(LifecycleEvent::kFirstToken, 9, 0, 0);
+  ASSERT_EQ(obs.events().size(), 3u);
+  expect_same_event(obs.events()[2],
+                    {9, LifecycleEvent::kFirstToken, 0, 0, 0, 0}, 2);
+  obs.add_span(0, CategoryId::kPrefill, 0, 9);
+  obs.finalize(9);
+  const std::vector<ObservedEvent> first = obs.events();
+  const std::vector<ObservedEvent>& second = obs.events();
+  ASSERT_EQ(first.size(), 4u);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    expect_same_event(second[i], first[i], i);
+  }
+  expect_same_event(first[2], {9, LifecycleEvent::kFirstChunk, 0, 0, 8, 8},
+                    2);
 }
 
 // ------------------------------------- Observed runs and the tiling law
@@ -594,7 +793,7 @@ TEST(ObserveStorageTest, OpenLoopRunsNeverRegrowTheLog) {
     FleetSim(cfg).run(&obs);
     check_observer_invariants(obs);
     EXPECT_GT(obs.reserved(), 0u);
-    EXPECT_EQ(obs.events().capacity(), obs.reserved());
+    EXPECT_EQ(obs.log_capacity(), obs.reserved());
     EXPECT_LE(obs.events().size(), obs.reserved());
   };
   check("golden single", FleetConfig::homogeneous(golden_single_config(), 1));
@@ -768,16 +967,6 @@ TEST_F(ObserveHostTest, FlushObservedFillsTheBreakdown) {
 }
 
 // ------------------------------------------------------- CLI plumbing
-
-util::Cli make_cli(std::vector<std::string> args) {
-  std::vector<char*> argv;
-  static std::vector<std::string> storage;
-  storage = std::move(args);
-  storage.insert(storage.begin(), "test");
-  argv.reserve(storage.size());
-  for (auto& s : storage) argv.push_back(s.data());
-  return util::Cli(static_cast<int>(argv.size()), argv.data());
-}
 
 TEST(ObserveCliTest, ExportFlagsParseAndValidate) {
   const SchedulerCliOptions off = parse_scheduler_cli(make_cli({}));
