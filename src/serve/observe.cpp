@@ -282,9 +282,7 @@ const std::vector<ObservedEvent>& Observer::events() const {
     events_.reserve(log_.size());
     std::size_t next_b = 0;
     for (const Record& r : log_) {
-      events_.push_back(ObservedEvent{
-          r.at(), r.kind(), r.request, r.replica(), r.a,
-          r.has_b() ? b_values_[next_b++] : 0u});
+      events_.push_back(r.event(r.has_b() ? b_values_[next_b++] : 0));
     }
   }
   return events_;
@@ -307,7 +305,8 @@ void Observer::require_finalized(const char* what) const {
 std::uint64_t Observer::cycles_to_us(sim::Cycles c) const {
   // Exact integer arithmetic so the exporters never format a double:
   // floor(c * 1e6 / f), split at whole seconds so no product overflows
-  // 64 bits (c * 1e6 itself would past ~1.8e13 cycles, inside kMaxStamp).
+  // 64 bits (c * 1e6 itself overflows past ~1.8e13 cycles, well below
+  // kMaxStamp).
   return c / frequency_hz_int_ * 1000000ull +
          c % frequency_hz_int_ * 1000000ull / frequency_hz_int_;
 }
@@ -327,7 +326,8 @@ void Observer::write_chrome_trace(std::ostream& os) const {
     const PerReplica& r = per_replica_[i];
     sim::Cycles begin = 0;
     for (std::size_t k = 0; k < r.span_count; ++k) {
-      const std::uint64_t entry = r.span_chunks[k / kSpanChunk][k % kSpanChunk];
+      const std::uint64_t entry =
+          r.span_chunks[k / kSpanChunk][k % kSpanChunk];
       const sim::Cycles end = entry >> 8;
       if ((entry & 0xff) != kSpanGap) {
         writer.complete(kCategories[entry & 0xff], "breakdown", i,
@@ -348,35 +348,33 @@ void Observer::write_chrome_trace(std::ostream& os) const {
   // One async span per request (opened at routing, closed at finish or
   // rejection), lifecycle instants nested inside; scheduler decisions as
   // instant events on the affected replica's track.
-  for (const Record& e : log_) {
-    const LifecycleEvent kind = e.kind();
-    const std::string_view name = lifecycle_event_name(kind);
-    const std::uint32_t replica = e.replica();
-    const sim::Cycles at = e.at();
-    switch (kind) {
+  for (const Record& r : log_) {
+    const ObservedEvent e = r.event();
+    const std::string_view name = lifecycle_event_name(e.kind);
+    switch (e.kind) {
       case LifecycleEvent::kRoute:
-        writer.async_begin("request", "request", replica, e.request, at);
+        writer.async_begin("request", "request", e.replica, e.request, e.at);
         break;
       case LifecycleEvent::kFinish:
       case LifecycleEvent::kReject:
-        writer.async_instant(name, "request", replica, e.request, at);
-        writer.async_end("request", "request", replica, e.request, at);
+        writer.async_instant(name, "request", e.replica, e.request, e.at);
+        writer.async_end("request", "request", e.replica, e.request, e.at);
         break;
       case LifecycleEvent::kPreempt:
-        writer.instant(name, "decision", replica, /*tid=*/0, at, 't');
-        writer.async_instant(name, "request", replica, e.request, at);
+        writer.instant(name, "decision", e.replica, /*tid=*/0, e.at, 't');
+        writer.async_instant(name, "request", e.replica, e.request, e.at);
         break;
       case LifecycleEvent::kScaleUp:
       case LifecycleEvent::kScaleDown:
-        writer.instant(decision_name(name, replica),
-                       "decision", replica, /*tid=*/0, at, 'g');
+        writer.instant(decision_name(name, e.replica),
+                       "decision", e.replica, /*tid=*/0, e.at, 'g');
         break;
       case LifecycleEvent::kDrain:
-        writer.instant(decision_name(name, replica),
-                       "decision", replica, /*tid=*/0, at, 'p');
+        writer.instant(decision_name(name, e.replica),
+                       "decision", e.replica, /*tid=*/0, e.at, 'p');
         break;
       default:
-        writer.async_instant(name, "request", replica, e.request, at);
+        writer.async_instant(name, "request", e.replica, e.request, e.at);
     }
   }
   writer.finish();
@@ -443,51 +441,49 @@ void Observer::write_prometheus(std::ostream& os) const {
       scaled_down(n, 0);
   std::vector<RequestLifecycle> requests;
   for (const Record& rec : log_) {
-    const std::uint32_t replica = rec.replica();
-    const LifecycleEvent kind = rec.kind();
-    const sim::Cycles at = rec.at();
-    if (rec.request != kNoRequest) {
-      if (rec.request >= requests.size()) requests.resize(rec.request + 1);
-      RequestLifecycle& r = requests[rec.request];
-      switch (kind) {
+    const ObservedEvent e = rec.event();
+    if (e.request != kNoRequest) {
+      if (e.request >= requests.size()) requests.resize(e.request + 1);
+      RequestLifecycle& r = requests[e.request];
+      switch (e.kind) {
         case LifecycleEvent::kRoute:
-          ++routed[replica];
+          ++routed[e.replica];
           break;
         case LifecycleEvent::kArrive:
           r.arrived = true;
-          r.arrive = at;
+          r.arrive = e.at;
           break;
         case LifecycleEvent::kAdmit:
-          ++admitted[replica];
+          ++admitted[e.replica];
           r.admitted = true;
-          r.admit = at;
+          r.admit = e.at;
           break;
         case LifecycleEvent::kReject:
-          ++rejected[replica];
+          ++rejected[e.replica];
           break;
         case LifecycleEvent::kFirstToken:
-          ++tokens[replica];
+          ++tokens[e.replica];
           r.first = true;
-          r.first_token = at;
+          r.first_token = e.at;
           break;
         case LifecycleEvent::kDecode:
-          ++tokens[replica];
+          ++tokens[e.replica];
           break;
         case LifecycleEvent::kPreempt:
-          ++preemptions[replica];
+          ++preemptions[e.replica];
           break;
         case LifecycleEvent::kFinish:
-          ++completed[replica];
+          ++completed[e.replica];
           r.finished = true;
-          r.finish = at;
+          r.finish = e.at;
           break;
         default:
           break;
       }
-    } else if (kind == LifecycleEvent::kScaleUp) {
-      ++scaled_up[replica];
-    } else if (kind == LifecycleEvent::kScaleDown) {
-      ++scaled_down[replica];
+    } else if (e.kind == LifecycleEvent::kScaleUp) {
+      ++scaled_up[e.replica];
+    } else if (e.kind == LifecycleEvent::kScaleDown) {
+      ++scaled_down[e.replica];
     }
   }
 

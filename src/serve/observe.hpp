@@ -301,6 +301,10 @@ class Observer {
       return static_cast<LifecycleEvent>((word >> kKindShift) & 0x1f);
     }
     bool has_b() const { return (word & 1) != 0; }
+    /// The record unpacked, with `b` (0 unless has_b()) supplied.
+    ObservedEvent event(std::uint32_t b = 0) const {
+      return ObservedEvent{at(), kind(), request, replica(), a, b};
+    }
   };
   static constexpr int kKindShift = 1;
   static constexpr int kReplicaShift = 6;

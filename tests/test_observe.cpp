@@ -370,7 +370,7 @@ void expect_same_event(const ObservedEvent& got, const ObservedEvent& want,
   EXPECT_EQ(got.b, want.b) << "position " << i;
 }
 
-TEST(ObserverStorageTest, EveryFieldRoundTripsThroughThePackedLog) {
+TEST(ObserveStorageTest, EveryFieldRoundTripsThroughThePackedLog) {
   constexpr std::uint32_t kReplicas = 3;
   constexpr sim::Cycles kMax = Observer::kMaxStamp;
   const sim::Cycles stamps[] = {0, 1, kMax - 1, kMax};
@@ -422,7 +422,7 @@ TEST(ObserverStorageTest, EveryFieldRoundTripsThroughThePackedLog) {
   EXPECT_NE(trace.str().find(std::to_string(kMax)), std::string::npos);
 }
 
-TEST(ObserverStorageTest, SpansThatSkipOrOverlapExportWhole) {
+TEST(ObserveStorageTest, SpansThatSkipOrOverlapExportWhole) {
   // Spans usually abut (each begins where the last ended); the ledger
   // stores a cursor move for those that do not.
   Observer obs(2, 285e6);
@@ -451,7 +451,7 @@ TEST(ObserverStorageTest, SpansThatSkipOrOverlapExportWhole) {
             "\"pid\":1,\"tid\":0,\"ts\":3,\"dur\":33\n");
 }
 
-TEST(ObserverStorageTest, ValuesPastThePackedLimitsAreRejected) {
+TEST(ObserveStorageTest, ValuesPastThePackedLimitsAreRejected) {
   const std::string max_stamp = std::to_string(Observer::kMaxStamp);
   const std::string max_replicas = std::to_string(Observer::kMaxReplicas);
   EXPECT_EQ(Observer::kMaxStamp, (sim::Cycles{1} << 45) - 1);
@@ -503,6 +503,12 @@ TEST(ObserverStorageTest, ValuesPastThePackedLimitsAreRejected) {
   Observer late(1, cfg.arch.frequency_hz);
   EXPECT_THROW(FleetSim(fleet).run(&late), std::invalid_argument);
   EXPECT_TRUE(late.events().empty());
+  // One that starts in range and runs past the limit fails mid-run with
+  // the same exception type, so the CLIs still exit 2.
+  cfg.traffic.explicit_arrivals.front().at = Observer::kMaxStamp - 10;
+  Observer crossing(1, cfg.arch.frequency_hz);
+  EXPECT_THROW(FleetSim(FleetConfig::homogeneous(cfg, 1)).run(&crossing),
+               std::invalid_argument);
 
   // The CLI rejects a fleet the observer cannot index before building it.
   EXPECT_NO_THROW(parse_scheduler_cli(make_cli(
@@ -518,7 +524,7 @@ TEST(ObserverStorageTest, ValuesPastThePackedLimitsAreRejected) {
   EXPECT_NO_THROW(parse_scheduler_cli(make_cli({"--replicas=" + wide})));
 }
 
-TEST(ObserverStorageTest, EventsIsStableAndTracksTheLogBeforeFinalize) {
+TEST(ObserveStorageTest, EventsIsStableAndTracksTheLogBeforeFinalize) {
   Observer obs(1, 285e6);
   EXPECT_TRUE(obs.events().empty());
   obs.record(LifecycleEvent::kArrive, 3, 0, 0, 8, 16);
@@ -839,8 +845,10 @@ TEST(ObserveStorageTest, OutgrownReservationExportsArePinned) {
   std::ostringstream trace, prom;
   obs.write_chrome_trace(trace);
   obs.write_prometheus(prom);
-  EXPECT_EQ(util::sha256_hex(trace.str()), "8ed22fc8b7bbae09f3d2e8372c826d130f72e0c93ca0eb4769d7b385f7afd1d7");
-  EXPECT_EQ(util::sha256_hex(prom.str()), "c2f865e87b9fca958856b4df1840a5bf485a93fa9ff528e6495d044ef2215025");
+  EXPECT_EQ(util::sha256_hex(trace.str()),
+            "8ed22fc8b7bbae09f3d2e8372c826d130f72e0c93ca0eb4769d7b385f7afd1d7");
+  EXPECT_EQ(util::sha256_hex(prom.str()),
+            "c2f865e87b9fca958856b4df1840a5bf485a93fa9ff528e6495d044ef2215025");
 }
 
 TEST(ObserveStorageTest, ClosedLoopRunReservesNothing) {
