@@ -204,6 +204,7 @@ void observer_record_finalize(benchmark::State& state, bool reserved) {
     // finalize()'s own output; events() would time an unpacking that no
     // exporter needs.
     benchmark::DoNotOptimize(obs.breakdown(0));
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }

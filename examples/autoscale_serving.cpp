@@ -66,9 +66,7 @@ void print_usage() {
       "  --help                 this text\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace looplynx;
   const util::Cli cli(argc, argv);
   if (cli.has("help")) {
@@ -135,6 +133,23 @@ int main(int argc, char** argv) {
   autoscale.down_evals = 6;
   autoscale.cooldown_evals = 2;
 
+  // Exports observe the autoscaled run — the one whose scale/drain
+  // decisions the instant events exist for. Unset flags never construct
+  // an observer, keeping the default output byte-identical. The observer
+  // is built before any fleet, so a pool it cannot index is rejected
+  // before anything runs.
+  const std::string trace_out = cli.get_or("trace-out", "");
+  const std::string metrics_out = cli.get_or("metrics-out", "");
+  if ((cli.has("trace-out") && trace_out.empty()) ||
+      (cli.has("metrics-out") && metrics_out.empty())) {
+    throw std::invalid_argument(
+        "--trace-out/--metrics-out need a file path (--trace-out=<path>)");
+  }
+  std::optional<serve::Observer> obs;
+  if (!trace_out.empty() || !metrics_out.empty()) {
+    obs.emplace(max_replicas, base.arch.frequency_hz);
+  }
+
   // One shared cost model (identical replicas everywhere).
   const core::StepCostModel costs(base.arch, base.model, 64);
 
@@ -151,20 +166,6 @@ int main(int argc, char** argv) {
   serve::FleetConfig scaled_cfg = serve::FleetConfig::homogeneous(
       base, max_replicas, serve::BalancerPolicy::kJoinShortestQueue);
   scaled_cfg.autoscale = autoscale;
-  // Exports observe the autoscaled run — the one whose scale/drain
-  // decisions the instant events exist for. Unset flags never construct
-  // an observer, keeping the default output byte-identical.
-  const std::string trace_out = cli.get_or("trace-out", "");
-  const std::string metrics_out = cli.get_or("metrics-out", "");
-  if ((cli.has("trace-out") && trace_out.empty()) ||
-      (cli.has("metrics-out") && metrics_out.empty())) {
-    throw std::invalid_argument(
-        "--trace-out/--metrics-out need a file path (--trace-out=<path>)");
-  }
-  std::optional<serve::Observer> obs;
-  if (!trace_out.empty() || !metrics_out.empty()) {
-    obs.emplace(max_replicas, base.arch.frequency_hz);
-  }
   const serve::FleetResult scaled =
       serve::FleetSim(scaled_cfg, costs).run(obs ? &*obs : nullptr);
 
@@ -259,4 +260,16 @@ int main(int argc, char** argv) {
     ok = false;
   }
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    // A rejected flag or config is a usage error, not a crash.
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -154,13 +154,10 @@ void Observer::add_span(std::uint32_t replica, CategoryId cat,
 }
 
 void Observer::push_span(PerReplica& r, std::uint64_t entry) {
-  const std::size_t slot = r.span_count % kSpanChunk;
-  if (slot == 0) {
-    r.span_chunks.push_back(
-        std::make_unique_for_overwrite<std::uint64_t[]>(kSpanChunk));
+  if (r.span_chunks.empty() || r.span_chunks.back().size() == kSpanChunk) {
+    r.span_chunks.emplace_back().reserve(kSpanChunk);
   }
-  r.span_chunks.back()[slot] = entry;
-  ++r.span_count;
+  r.span_chunks.back().push_back(entry);
 }
 
 void Observer::begin_wait(std::uint32_t replica, CategoryId cat,
@@ -323,17 +320,17 @@ void Observer::write_chrome_trace(std::ostream& os) const {
   // (chronological per replica). Zero-width spans carry no cycles and
   // would only be viewer noise, so add_span() never stores them.
   for (std::uint32_t i = 0; i < replicas(); ++i) {
-    const PerReplica& r = per_replica_[i];
     sim::Cycles begin = 0;
-    for (std::size_t k = 0; k < r.span_count; ++k) {
-      const std::uint64_t entry =
-          r.span_chunks[k / kSpanChunk][k % kSpanChunk];
-      const sim::Cycles end = entry >> 8;
-      if ((entry & 0xff) != kSpanGap) {
-        writer.complete(kCategories[entry & 0xff], "breakdown", i,
-                        /*tid=*/0, begin, end);
+    for (const std::vector<std::uint64_t>& chunk :
+         per_replica_[i].span_chunks) {
+      for (const std::uint64_t entry : chunk) {
+        const sim::Cycles end = entry >> 8;
+        if ((entry & 0xff) != kSpanGap) {
+          writer.complete(kCategories[entry & 0xff], "breakdown", i,
+                          /*tid=*/0, begin, end);
+        }
+        begin = end;
       }
-      begin = end;
     }
   }
   // Scale/drain instants carry the moved replica's role when the fleet is

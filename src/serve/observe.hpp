@@ -32,26 +32,19 @@
 // order a stable sort of the whole log by cycle gives, in O(n + k log k)
 // for n records of which k are off-clock.
 //
-// Storage: each record is 16 bytes. One 64-bit word packs the stamp, the
-// replica, the kind and a flag for a nonzero `b`; then come `request` and
-// `a`. The rare nonzero `b` (about 0.7% of records on disagg-burst) sits
-// in a side array in log order. Limits: stamps up to kMaxStamp (2^45 - 1
-// cycles, about 34 h at 285 MHz) and kMaxReplicas (8 192) replicas; a
-// value past either throws, nothing is truncated. FleetSim::run sizes the
-// log once, before the engine starts, for every record an open-loop run's
-// schedule implies (on-clock and off-clock alike, since finalize() merges
-// in place) plus headroom for preemption and scale records; reserve()
-// only sets capacity, and pages reserved but never written never become
-// resident. A run that outgrows its reservation (heavy preemption)
-// regrows the log by doubling. Closed-loop runs draw their shapes as they
-// go, so they reserve nothing and keep the plain doubling growth. The
-// exporters read the packed log; events() unpacks it into ObservedEvents
-// only when called. Each replica's span ledger stores 8 bytes per span,
-// its end and category; its begin is the previous span's end, and a span
-// that starts elsewhere is preceded by a gap entry that moves the cursor
-// (none on disagg-burst). The entries sit in fixed chunks of kSpanChunk:
-// the ledger grows without copying, one allocation per chunk, and the
-// trace exporter, its only reader, walks it in order.
+// Storage: a record is 16 bytes (Record) and a span 8 (see PerReplica),
+// and a stamp or replica past kMaxStamp / kMaxReplicas throws instead of
+// being truncated. FleetSim::run sizes the log once, before the engine
+// starts, for every record an open-loop run's schedule implies (on-clock
+// and off-clock alike, since finalize() merges in place) plus headroom
+// for preemption and scale records; reserve() only sets capacity, and
+// pages reserved but never written never become resident. A run that
+// outgrows its reservation (heavy preemption) regrows the log by
+// doubling. Closed-loop runs draw their shapes as they go, so they
+// reserve nothing and keep the plain doubling growth. The exporters read
+// the packed log; events() unpacks it only when called. The span ledger
+// grows in fixed chunks without copying, and the trace exporter, its
+// only reader, walks it in order.
 //
 // Determinism rules (DESIGN.md §7): exports are keyed off simulated cycles
 // only — every timestamp is an integer cycle count and every millisecond
@@ -64,7 +57,6 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -328,12 +320,12 @@ class Observer {
     std::size_t position = 0;
   };
   struct PerReplica {
-    // Nonzero-width spans in recording order: span_count ledger entries
-    // in chunks of kSpanChunk, the last span ending at span_end. Chunks
-    // are allocated without writing them, so their pages become resident
-    // only as entries fill them.
-    std::vector<std::unique_ptr<std::uint64_t[]>> span_chunks;
-    std::size_t span_count = 0;
+    // Nonzero-width spans in recording order, as ledger entries in chunks
+    // reserved to kSpanChunk. An entry holds a span's end and category;
+    // its begin is the previous span's end (span_end is the last), and a
+    // span that starts elsewhere is preceded by a gap entry (none on
+    // disagg-burst). A chunk's pages become resident only as it fills.
+    std::vector<std::vector<std::uint64_t>> span_chunks;
     sim::Cycles span_end = 0;
     std::array<sim::Cycles, kCategoryCount> totals{};
     std::array<bool, kCategoryCount> added{};
