@@ -3,7 +3,8 @@
 // identity across the {batch policy x preempt policy x autoscale} matrix,
 // byte-identical exports across repeated runs, the observed-run ==
 // unobserved-run metrics guarantee, the log's one-time reservation, the
-// host-layer breakdown exposure, and the CLI flag plumbing.
+// packed log's round trip and limits, the host-layer breakdown exposure,
+// and the CLI flag plumbing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
